@@ -65,13 +65,9 @@ func TestChaosDeterminismSweep(t *testing.T) {
 	}
 }
 
-// TestFailRejoinDrain pins the loss ledger of a fail/rejoin run: the
-// run drains to quiescence (Run's internal accounting already enforces
-// executed + errors + lost == planned), the dead node's inbound backlog
-// and abandoned plan are lost rather than hung, the drain phase reaches
-// the rejoined node again, and a repeat run reproduces the ledger bit
-// for bit.
-func TestFailRejoinDrain(t *testing.T) {
+// failRejoinScenario is a steady phase, a mid-phase failure of node 1,
+// and a drain phase that rejoins it.
+func failRejoinScenario() Scenario {
 	sc := DefaultScenario(AllToAll, 6)
 	sc.Burst = 4
 	sc.Rounds = 2
@@ -81,6 +77,17 @@ func TestFailRejoinDrain(t *testing.T) {
 		{Name: "failing", Fail: []Fail{{Node: 1, At: 500 * sim.Nanosecond}}},
 		{Name: "drain", Rejoin: []Rejoin{{Node: 1}}},
 	}
+	return sc
+}
+
+// TestFailRejoinDrain pins the loss ledger of a fail/rejoin run: the
+// run drains to quiescence (Run's internal accounting already enforces
+// executed + errors + lost == planned), the dead node's inbound backlog
+// and abandoned plan are lost rather than hung, the drain phase reaches
+// the rejoined node again, and a repeat run reproduces the ledger bit
+// for bit.
+func TestFailRejoinDrain(t *testing.T) {
+	sc := failRejoinScenario()
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -155,23 +155,27 @@ func TestTenantStarvationResistance(t *testing.T) {
 	}
 }
 
+// admissionScenario is one metered tenant whose token bucket admits
+// far less than its closed-loop traffic offers: deferPolicy selects
+// Defer over Drop.
+func admissionScenario(deferPolicy bool) Scenario {
+	sc := DefaultScenario(AllToAll, 3)
+	sc.Rounds = 2
+	sc.Burst = 4
+	sc.Seed = 0x7c2c2025
+	sc.Mix = []ElementMix{{Elem: "jam_iput", Weight: 1}}
+	sc.Tenants = []TenantSpec{{
+		Name: "metered", Weight: 1,
+		Admit: &AdmitSpec{RatePerSec: 50_000, Burst: 4, Defer: deferPolicy},
+	}}
+	return sc
+}
+
 // TestTenantAdmissionPolicies drives a tenant into its token bucket both
 // ways: Drop sheds load (accounting still balances), Defer backs the
 // sender off until every message eventually lands.
 func TestTenantAdmissionPolicies(t *testing.T) {
-	mk := func(deferPolicy bool) Scenario {
-		sc := DefaultScenario(AllToAll, 3)
-		sc.Rounds = 2
-		sc.Burst = 4
-		sc.Seed = 0x7c2c2025
-		sc.Mix = []ElementMix{{Elem: "jam_iput", Weight: 1}}
-		sc.Tenants = []TenantSpec{{
-			Name: "metered", Weight: 1,
-			Admit: &AdmitSpec{RatePerSec: 50_000, Burst: 4, Defer: deferPolicy},
-		}}
-		return sc
-	}
-	res, err := Run(mk(false))
+	res, err := Run(admissionScenario(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 		t.Errorf("drop accounting: serviced %d + dropped %d != planned %d", tr.Serviced, tr.Dropped, tr.Planned)
 	}
 
-	res, err = Run(mk(true))
+	res, err = Run(admissionScenario(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +200,25 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 	}
 }
 
+// tenantSweepScenario is the sharded two-tenant fixture of the worker
+// sweep: gold runs a closed-loop warmup then an open-loop burst phase,
+// so the per-lane phase barrier is exercised; bronze rides the
+// scenario-level phase.
+func tenantSweepScenario(seed uint64) Scenario {
+	sc := tenantScenario(9)
+	sc.Shards = 4
+	sc.Seed = seed
+	sc.Tenants = []TenantSpec{
+		{Name: "gold", Weight: 3, Phases: []Phase{
+			{Name: "warm", Rounds: 1, Mix: []ElementMix{{Elem: "jam_iput", Weight: 1}}},
+			{Name: "burst", Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000},
+				Mix: []ElementMix{{Elem: "jam_sssum", Weight: 1}}},
+		}},
+		{Name: "bronze", Weight: 1},
+	}
+	return sc
+}
+
 // TestTenantWorkersSweepDeterminism extends the parallel determinism
 // property to tenant-sharded scenarios: equal seeds produce bit-identical
 // digests, simulated times, and per-tenant results for every worker
@@ -203,19 +226,7 @@ func TestTenantAdmissionPolicies(t *testing.T) {
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
-		sc := tenantScenario(9)
-		sc.Shards = 4
-		sc.Seed = seed
-		// A second phase per tenant exercises the per-lane phase barrier
-		// under the parallel engine.
-		sc.Tenants = []TenantSpec{
-			{Name: "gold", Weight: 3, Phases: []Phase{
-				{Name: "warm", Rounds: 1, Mix: []ElementMix{{Elem: "jam_iput", Weight: 1}}},
-				{Name: "burst", Arrival: &Arrival{Kind: Poisson, RatePerSec: 150_000},
-					Mix: []ElementMix{{Elem: "jam_sssum", Weight: 1}}},
-			}},
-			{Name: "bronze", Weight: 1},
-		}
+		sc := tenantSweepScenario(seed)
 		base, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)

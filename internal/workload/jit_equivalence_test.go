@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"twochains/internal/core"
@@ -11,9 +12,9 @@ import (
 // runPair executes the same scenario twice — compiled dispatch and
 // forced interpreter — and fails unless every observable is
 // bit-identical: fabric digest, simulated finish time, injection count,
-// and the per-node digest/error breakdown. The interpret loop is the
-// reference implementation, so any divergence is a JIT bug by
-// definition.
+// the per-node digest/error breakdown, and every tenant result. The
+// interpret loop is the reference implementation, so any divergence is
+// a JIT bug by definition.
 func runPair(t *testing.T, sc Scenario) *Result {
 	t.Helper()
 	sc.Interpreter = false
@@ -41,6 +42,9 @@ func runPair(t *testing.T, sc Scenario) *Result {
 		if j != r {
 			t.Errorf("node %d: compiled %+v, interpreter %+v", i, j, r)
 		}
+	}
+	if !reflect.DeepEqual(jit.Tenants, ref.Tenants) {
+		t.Errorf("tenants: compiled %+v, interpreter %+v", jit.Tenants, ref.Tenants)
 	}
 	return jit
 }
@@ -103,6 +107,18 @@ func TestJITEquivalenceSweep(t *testing.T) {
 			})
 		}
 	}
+	// The multi-tenant path: weighted fair servicing under overload, and
+	// admission Defer re-issues.
+	t.Run("tenants/overload", func(t *testing.T) {
+		if res := runPair(t, OverloadScenario(4, 2)); len(res.Tenants) != 2 {
+			t.Fatalf("tenants reported: %d", len(res.Tenants))
+		}
+	})
+	t.Run("tenants/admit-defer", func(t *testing.T) {
+		if res := runPair(t, admissionScenario(true)); res.Tenants[0].Deferred == 0 {
+			t.Fatalf("defer leg never deferred: %+v", res.Tenants[0])
+		}
+	})
 }
 
 func orDefault(backend string) string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"twochains/internal/sim"
@@ -81,10 +82,53 @@ func TestTenantValidation(t *testing.T) {
 	}}}}
 	wantTenantError(t, sc, "Tenants[0].Phases[0].Swap")
 
+	// So is the hotspot pattern's built-in mid-phase swap, blamed on the
+	// field that selected the pattern.
+	sc = DefaultScenario(Hotspot, 4)
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1}}
+	wantTenantError(t, sc, "Pattern")
+	sc.Pattern = AllToAll
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1, Phases: []Phase{{Traffic: string(Hotspot)}}}}
+	wantTenantError(t, sc, "Tenants[0].Phases[0].Traffic")
+
+	// With the swap disabled the hotspot scenario runs and reports its
+	// hot node.
+	sc = DefaultScenario(Hotspot, 4)
+	sc.DisableSwap = true
+	sc.Tenants = []TenantSpec{{Name: "gold", Weight: 1}}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatalf("hotspot tenant scenario with DisableSwap rejected: %v", err)
+	}
+	if res.HotNode < 0 || res.Swapped {
+		t.Fatalf("hot node %d, swapped %v: want a hot node and no swap", res.HotNode, res.Swapped)
+	}
+
+	// A registered shape that plans its own mid-phase swap is caught at
+	// plan time: Validate builds no plan, Run rejects it.
+	swapRingOnce.Do(func() {
+		RegisterTraffic("test-swap-ring", func() Traffic {
+			return TrafficFunc(func(p *Planner) error {
+				p.SwapAtHalf(1, "tcbench")
+				return genRing(p)
+			})
+		})
+	})
+	sc = base
+	sc.Pattern = "test-swap-ring"
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if _, err := Run(sc); !fieldIs(err, "Pattern") {
+		t.Fatalf("Run = %v, want *ScenarioError on Pattern", err)
+	}
+
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid tenant scenario rejected: %v", err)
 	}
 }
+
+var swapRingOnce sync.Once
 
 // TestTenantOverloadWeightedShare is the acceptance check of the fair
 // queue: at 4x offered load, two tenants weighted 3:1 must measure
@@ -222,14 +266,22 @@ func tenantSweepScenario(seed uint64) Scenario {
 // TestTenantWorkersSweepDeterminism extends the parallel determinism
 // property to tenant-sharded scenarios: equal seeds produce bit-identical
 // digests, simulated times, and per-tenant results for every worker
-// count, with and without speculative windows.
+// count, with and without speculative windows — admission Defer
+// re-issues included.
 func TestTenantWorkersSweepDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, seed := range []uint64{0x7c2c2021, 0x51edba5e} {
-		sc := tenantSweepScenario(seed)
+	// The Defer leg meters gold in both its closed- and open-loop phases,
+	// so deferred re-issues land inside parallel windows.
+	deferred := tenantSweepScenario(0x7c2c2021)
+	deferred.Tenants[0].Admit = &AdmitSpec{RatePerSec: 200_000, Burst: 8, Defer: true}
+	for _, sc := range []Scenario{tenantSweepScenario(0x7c2c2021), tenantSweepScenario(0x51edba5e), deferred} {
+		seed := sc.Seed
 		base, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sc.Tenants[0].Admit != nil && base.Tenants[0].Deferred == 0 {
+			t.Fatalf("defer leg never deferred: %+v", base.Tenants[0])
 		}
 		for _, w := range workerSweep()[1:] {
 			for _, spec := range []sim.Duration{0, specBudget} {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"twochains/internal/core"
 	"twochains/internal/fabric"
@@ -48,12 +49,8 @@ func (sc *Scenario) Validate() error {
 	if err != nil {
 		return err
 	}
-	if len(sc.Tenants) > 0 {
-		if _, err := sc.resolveTenants(specs); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = sc.resolveLanes(specs)
+	return err
 }
 
 // validateScalars checks the phase-independent scenario fields.
@@ -125,6 +122,15 @@ type phaseSpec struct {
 
 // at names a field of this phase for error reporting.
 func (spec *phaseSpec) at(field string) string { return spec.fieldPrefix + field }
+
+// trafficField names the field that selected this phase's traffic: the
+// scenario's Pattern for the implicit phase of a phaseless scenario.
+func (spec *phaseSpec) trafficField() string {
+	if spec.fieldPrefix == "" {
+		return "Pattern"
+	}
+	return spec.at("Traffic")
+}
 
 // resolvePhases applies defaulting (a phaseless scenario is one closed-
 // loop phase of the scenario pattern) and validates every resolved
@@ -292,10 +298,12 @@ func (sc *Scenario) resolvePhases() ([]phaseSpec, error) {
 }
 
 // packagesFor builds every application package the resolved phases
-// reference, keyed by name.
-func packagesFor(specs []phaseSpec) (map[string]*core.Package, error) {
-	pkgs := map[string]*core.Package{}
+// reference (mix entries and swap apps) into pkgs, skipping names
+// already built, and returns the referenced names in sorted order.
+func packagesFor(specs []phaseSpec, pkgs map[string]*core.Package) ([]string, error) {
+	used := map[string]bool{}
 	addApp := func(field, name string) error {
+		used[name] = true
 		if _, ok := pkgs[name]; ok {
 			return nil
 		}
@@ -319,7 +327,12 @@ func packagesFor(specs []phaseSpec) (map[string]*core.Package, error) {
 			}
 		}
 	}
-	return pkgs, nil
+	names := make([]string, 0, len(used))
+	for name := range used {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // frameSizeFor sizes the shared mailbox geometry to the largest message

@@ -150,8 +150,8 @@ func frameSpecs(t *testing.T, mix []ElementMix) ([]phaseSpec, map[string]*core.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := packagesFor(specs)
-	if err != nil {
+	pkgs := map[string]*core.Package{}
+	if _, err := packagesFor(specs, pkgs); err != nil {
 		t.Fatal(err)
 	}
 	return specs, pkgs

@@ -29,6 +29,20 @@
 // with kvstore puts and histo reduces, and the driver installs every
 // referenced package and sizes mailbox frames for the largest message.
 //
+// # Lanes
+//
+// Run drives every scenario as a list of lanes, each one traffic
+// program with its own phase list, phase cursor, and progress count. A
+// single-tenant scenario is one implicit default lane: base tc.Func
+// handles over base channels, progress counted at handler start
+// (Node.OnExecuted). A multi-tenant scenario (Scenario.Tenants) has one
+// lane per tenant instead: handles in the tenant's package namespace,
+// progress counted at service completion by the lane's channel
+// receivers, and per-call latency samples. Every sender of every lane
+// issues through one step, and every refusal takes one policy: a
+// *core.NodeDownError loses the burst, an admission Drop drops it, and
+// an admission Defer re-issues it after the bucket's hint.
+//
 // # Arrivals
 //
 // Closed-loop (default): each sender self-clocks — burst k+1 is issued
@@ -47,7 +61,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +69,7 @@ import (
 	"twochains/internal/sim"
 	"twochains/internal/tc"
 	"twochains/internal/tcapp"
+	"twochains/internal/tenant"
 )
 
 // Pattern names a registered traffic shape.
@@ -173,7 +187,9 @@ type Phase struct {
 	Swap    *Swap
 	// Fail schedules node failures at offsets from phase open; Rejoin
 	// brings nodes failed in earlier phases back when this phase opens.
-	// Both are rejected in multi-tenant mode.
+	// Both are rejected in multi-tenant mode: every tenant lane runs its
+	// own copy of its phase list on its own timeline, so which lane owns
+	// a failure has no single answer.
 	Fail   []Fail
 	Rejoin []Rejoin
 	// Arg1Random additionally draws the second argument word per message
@@ -253,13 +269,13 @@ type Scenario struct {
 	// Phases composes the run; empty means one closed-loop phase of
 	// Pattern.
 	Phases []Phase
-	// Tenants switches the run into multi-tenant mode: each entry drives
-	// its own traffic lanes (its Phases, or the scenario-level phases when
-	// unset) through a per-tenant package namespace, weighted-fair
-	// servicing at every receiver, and optional token-bucket admission.
-	// Result.Tenants reports per-tenant goodput, drop/defer counts, and
-	// p99 simulated latency. Empty keeps the single-tenant surface
-	// bit-identical to previous releases.
+	// Tenants switches the run into multi-tenant mode: each entry replaces
+	// the default lane with a lane of its own, running its Phases (or the
+	// scenario-level phases when unset) through a per-tenant package
+	// namespace, weighted-fair servicing at every receiver, and optional
+	// token-bucket admission. Result.Tenants reports per-tenant goodput,
+	// drop/defer counts, and p99 simulated latency. Empty keeps the
+	// single-tenant surface bit-identical to previous releases.
 	Tenants []TenantSpec
 
 	// OnExecuted observes every handler execution (node index, return
@@ -414,23 +430,23 @@ func buildPlan(sc *Scenario, topo Topology, spec *phaseSpec, rng *sim.RNG) (*pha
 	return pp, nil
 }
 
-// runner drives one scenario run: it owns the per-phase plans, the
-// phase barrier, the per-sender handle caches, the swap machinery, and —
-// under the parallel engine — the serial holds that bracket every
-// zero-lookahead global action.
+// runner drives one scenario run as a list of lanes: it owns the phase
+// barriers, the swap and failure machinery, the issue step every sender
+// shares, and — under the parallel engine — the serial holds that
+// bracket every zero-lookahead global action.
 type runner struct {
-	sc    *Scenario
-	sys   *tc.System
-	res   *Result
-	plans []*phasePlan
-	cum   []int // cumulative planned messages through each phase
+	sc  *Scenario
+	sys *tc.System
+	res *Result
 
-	phase       int          // index of the open phase
-	executedAll atomic.Int64 // executions + errors so far, fabric-wide
-	phaseExec   []atomic.Int64
+	lanes []*lane
+	// execLane counts its progress at handler start, from Node.OnExecuted:
+	// the default lane of a single-tenant run, nil under tenants.
+	execLane *lane
+	// laneByView routes tenant channel creations to the owning lane.
+	laneByView map[string]*lane
 
 	payload []byte
-	fns     []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
 
 	// failed is the senders' fast stop check; errMu guards the errors
 	// behind it (issue failures can surface on any shard worker).
@@ -439,42 +455,65 @@ type runner struct {
 	issueErr error
 	swapErr  error
 
-	// Parallel-engine serial holds. Phase barriers, the open phase's
+	// Parallel-engine serial holds. Phase barriers, the open phases'
 	// not-yet-created channels, and an armed mid-phase swap each pin the
 	// engine serial; the holds release at deterministic simulation events
-	// (last phase opened, last channel created, swap fired), so the
-	// window schedule — and with it the whole run — is a pure function of
-	// the scenario. Channel creation order matters down to node memory
-	// layout (a region's address feeds the cache model), which is why
-	// creations must happen in exact global event order.
-	sharded    bool
-	phasesHold bool
-	pairsHold  bool
-	swapHold   bool
-	missing    map[[2]int]bool // open phase's channels still to create
+	// (every lane on its final phase, last channel created, swap fired),
+	// so the window schedule — and with it the whole run — is a pure
+	// function of the scenario. Channel creation order matters down to
+	// node memory layout (a region's address feeds the cache model), which
+	// is why creations must happen in exact global event order.
+	sharded      bool
+	phasesHold   bool
+	pendingLanes int // lanes short of their final phase while phasesHold is up
+	pairsHold    bool
+	swapHold     bool
+	missing      map[chanKey]bool // open phases' channels still to create
 
-	// Failure injection. chains exposes each sender's closed-loop issue
-	// state so a node failure can abandon (and account) the dead node's
-	// unissued remainder; issued counts successfully issued messages per
+	// Failure injection. issued counts successfully issued messages per
 	// destination (atomics: senders on any shard write them); lost tallies
 	// messages a failure made unexecutable; down marks nodes currently
 	// failed (written and read only under serial execution: doFail and
 	// openPhase). An armed Fail pins the engine serial until it fires —
 	// teardown is a zero-lookahead global action.
-	chains []*chainState
 	issued []atomic.Int64
 	lost   atomic.Int64
 	down   []bool
+}
 
-	// Multi-tenant mode (see tenants.go). Lanes are the per-tenant
-	// traffic programs; laneByView routes channel-creation events to the
-	// owning lane; missingV tracks the tenant channels the open phases
-	// still need; pendingLanes counts lanes still short of their final
-	// phase while the multi-phase hold is up.
-	lanes        []*lane
-	laneByView   map[string]*lane
-	missingV     map[laneChanKey]bool
-	pendingLanes int
+// lane is one traffic program: its phase plans and cursor, progress
+// counters, and handle caches. The default lane issues through base
+// handles over base channels; a tenant lane through the tenant's
+// package namespace view, with per-shard sample stores (service stamps
+// on the receiving shard, latency samples on the issuing shard — each
+// slice is only ever appended to from its owning shard's worker).
+type lane struct {
+	ten   *tenant.Tenant // nil for the default lane
+	view  string         // the channels' namespace view ("" = base)
+	specs []phaseSpec
+	plans []*phasePlan
+	cum   []int // cumulative planned messages through each phase
+	phase int   // index of the open phase
+
+	// progress counts resolved messages (executed, serviced, dropped, or
+	// lost); each phase barrier opens when it reaches the phase's
+	// cumulative plan.
+	progress  atomic.Int64
+	phaseExec []atomic.Int64
+	phases    []PhaseResult
+
+	fns    []map[[2]string]*tc.Func // per sender: (pkg, elem) -> handle
+	chains []*sender                // per sender: the open closed-loop chain
+
+	svc  [][]sim.Time     // tenant service-completion stamps, per dst shard
+	lat  [][]sim.Duration // tenant issue-to-delivery samples, per src shard
+	errs []int64          // tenant receiver-side failures, per dst shard
+}
+
+// chanKey identifies a channel an open phase still needs.
+type chanKey struct {
+	src, dst int
+	view     string
 }
 
 // fail records the first issue error and stops every sender.
@@ -489,56 +528,50 @@ func (r *runner) fail(err error) {
 
 // onChannel observes every lazy channel creation: tenant-view channels
 // get their lane's receiver instrumentation attached, and the serial
-// hold releases once the open phases' channel set — base and tenant —
-// is complete.
+// hold releases once the open phases' channel set is complete.
 func (r *runner) onChannel(src, dst int, view string, ch *core.Channel) {
-	if view != "" {
-		if l := r.laneByView[view]; l != nil {
-			r.hookLaneChannel(l, dst, ch)
-		}
-		if r.pairsHold {
-			k := laneChanKey{src, dst, view}
-			if r.missingV[k] {
-				delete(r.missingV, k)
-				r.maybeReleasePairs()
-			}
-		}
-		return
+	if l := r.laneByView[view]; l != nil {
+		r.hookTenantChannel(l, dst, ch)
 	}
-	if !r.pairsHold {
-		return
-	}
-	k := [2]int{src, dst}
-	if r.missing[k] {
+	k := chanKey{src, dst, view}
+	if r.pairsHold && r.missing[k] {
 		delete(r.missing, k)
 		r.maybeReleasePairs()
 	}
 }
 
-// maybeReleasePairs drops the channel-creation hold once no channel —
-// base or tenant-view — is still missing.
+// maybeReleasePairs drops the channel-creation hold once no channel is
+// still missing.
 func (r *runner) maybeReleasePairs() {
-	if len(r.missing) == 0 && len(r.missingV) == 0 {
+	if len(r.missing) == 0 {
 		r.pairsHold = false
 		r.sys.ReleaseSerial()
 	}
 }
 
-// fnFor resolves (and caches) the sender's handle for one element — the
-// bind-once/call-many idiom.
-func (r *runner) fnFor(src int, pkg, elem string) (*tc.Func, error) {
-	if r.fns[src] == nil {
-		r.fns[src] = map[[2]string]*tc.Func{}
+// fnFor resolves (and caches) the lane's handle for one element on one
+// sender — the bind-once/call-many idiom.
+func (r *runner) fnFor(l *lane, src int, pkg, elem string) (*tc.Func, error) {
+	m := l.fns[src]
+	if m == nil {
+		m = map[[2]string]*tc.Func{}
+		l.fns[src] = m
 	}
 	key := [2]string{pkg, elem}
-	if f, ok := r.fns[src][key]; ok {
+	if f, ok := m[key]; ok {
 		return f, nil
 	}
-	f, err := r.sys.Func(src, pkg, elem)
+	var f *tc.Func
+	var err error
+	if l.ten != nil {
+		f, err = r.sys.FuncFor(l.ten.Name, src, pkg, elem)
+	} else {
+		f, err = r.sys.Func(src, pkg, elem)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r.fns[src][key] = f
+	m[key] = f
 	return f, nil
 }
 
@@ -546,7 +579,7 @@ func (r *runner) fnFor(src int, pkg, elem string) (*tc.Func, error) {
 // (replacing name bindings) and re-runs the namespace exchange on every
 // channel into it — the remote-linking dynamic update, performed while
 // traffic may still be in flight.
-func (r *runner) performSwap(node int, app string) {
+func (r *runner) performSwap(l *lane, node int, app string) {
 	if app == "" {
 		app = DefaultPkg
 	}
@@ -570,15 +603,16 @@ func (r *runner) performSwap(node int, app string) {
 		r.swapErr = err
 	}
 	r.res.Swapped = true
-	r.res.Phases[r.phase].Swapped = true
+	l.phases[l.phase].Swapped = true
 }
 
-// openPhase performs the phase's planned swap, arms its SwapAtHalf
-// trigger against the swap node's current executed count, pins the
-// engine serial while the phase has channels to create or a swap armed,
-// and starts its senders.
-func (r *runner) openPhase() {
-	pp := r.plans[r.phase]
+// openPhase performs the lane's phase-open actions (rejoins, the planned
+// swap), arms the phase's SwapAtHalf trigger against the swap node's
+// current executed count, pins the engine serial while the phase has
+// channels to create, a swap armed, or a failure pending, and starts
+// its senders.
+func (r *runner) openPhase(l *lane) {
+	pp := l.plans[l.phase]
 	// Rejoins happen at phase open, before the missing-channel scan:
 	// channels into the rejoined node rebuild lazily under the same
 	// serial hold as initial lazy creation.
@@ -590,7 +624,7 @@ func (r *runner) openPhase() {
 		r.down[rj.Node] = false
 	}
 	if pp.spec.swap != nil {
-		r.performSwap(pp.spec.swap.Node, pp.spec.swap.App)
+		r.performSwap(l, pp.spec.swap.Node, pp.spec.swap.App)
 	}
 	if pp.swapNode >= 0 {
 		pp.swapTrigger = r.res.PerNode[pp.swapNode].Executed + pp.sent[pp.swapNode]/2
@@ -600,20 +634,17 @@ func (r *runner) openPhase() {
 			r.swapHold = true
 			r.sys.HoldSerial()
 		}
-		for k := range r.missing {
-			delete(r.missing, k)
-		}
 		for src := range pp.bursts {
 			for i := range pp.bursts[src] {
-				k := [2]int{src, pp.bursts[src][i].dst}
+				k := chanKey{src, pp.bursts[src][i].dst, l.view}
 				// Pairs touching a down node are skipped: no channel will be
 				// created while it is down, so waiting on one would pin the
 				// engine serial forever. Their bursts fail at issue and are
 				// accounted lost.
-				if r.down[src] || r.down[k[1]] {
+				if r.down[src] || r.down[k.dst] {
 					continue
 				}
-				if !r.missing[k] && !r.sys.Mesh().HasChannel(src, k[1]) {
+				if !r.missing[k] && !r.sys.Mesh().HasChannelView(src, k.dst, k.view) {
 					r.missing[k] = true
 				}
 			}
@@ -630,7 +661,7 @@ func (r *runner) openPhase() {
 		f := fl
 		r.sys.HoldSerial()
 		r.sys.After(f.Node, f.At, func() {
-			r.doFail(f.Node)
+			r.doFail(l, f.Node)
 			r.sys.ReleaseSerial()
 		})
 	}
@@ -639,89 +670,81 @@ func (r *runner) openPhase() {
 			continue
 		}
 		if pp.spec.arrival.openLoop() {
-			r.armOpenSender(src, pp.bursts[src])
+			r.armOpen(l, src, pp.bursts[src])
 		} else {
-			r.armClosedSender(src, pp.bursts[src])
+			r.armClosed(l, src, pp.bursts[src])
 		}
 	}
 }
 
-// advance opens phases until the open one still has unexecuted plan (or
-// the run is out of phases). Called at start and from the execution
-// hook each time a phase's plan completes. While a non-final phase is
-// open the engine is held serial (the phase barrier is a zero-lookahead
-// global action: the moment the count trips, senders on every shard arm
-// at the same instant).
-func (r *runner) advance() {
-	for r.phase < len(r.plans)-1 && int(r.executedAll.Load()) >= r.cum[r.phase] {
-		r.res.Phases[r.phase].End = sim.Duration(r.sys.Now())
-		r.phase++
-		r.openPhase()
-		if r.phase == len(r.plans)-1 && r.phasesHold {
-			r.phasesHold = false
-			r.sys.ReleaseSerial()
+// advance opens the lane's phases until the open one still has
+// unresolved plan (or the lane is out of phases). It runs at start and
+// each time the lane's progress moves. While a non-final phase of any
+// lane is open the engine is held serial (the phase barrier is a zero-
+// lookahead global action: the moment the count trips, senders on every
+// shard arm at the same instant).
+func (r *runner) advance(l *lane) {
+	for l.phase < len(l.plans)-1 && int(l.progress.Load()) >= l.cum[l.phase] {
+		l.phases[l.phase].End = sim.Duration(r.sys.Now())
+		l.phase++
+		r.openPhase(l)
+		if l.phase == len(l.plans)-1 && r.phasesHold {
+			r.pendingLanes--
+			if r.pendingLanes == 0 {
+				r.phasesHold = false
+				r.sys.ReleaseSerial()
+			}
 		}
 	}
 }
 
-// chainState is one closed-loop sender's issue position, hoisted out of
-// the sender closure so a node failure can abandon the chain and count
-// its unissued remainder.
-type chainState struct {
-	queue []burst
-	next  int
-	dead  bool
+// done resolves n messages of the lane's open phase: executed or
+// serviced (faults included), or dropped by admission.
+func (r *runner) done(l *lane, n int) {
+	l.phaseExec[l.phase].Add(int64(n))
+	r.settle(l, n)
 }
 
-// addLost accounts n planned messages a failure made unexecutable.
-// Lost messages advance the phase barrier exactly like executions —
-// they are resolved plan, just resolved by loss — so phases keep
-// opening and the final accounting stays exact. The same serial-
-// discipline argument as the execution hook applies: while a non-final
-// phase is open the engine is serial, and in the final phase advance is
-// a no-op.
-func (r *runner) addLost(n int) {
-	if n <= 0 {
-		return
-	}
+// settle folds n resolved messages into the lane's progress. Phase
+// advancement only ever runs while the engine is serial (the multi-phase
+// hold pins it); once every lane is on its final phase this is pure
+// atomics.
+func (r *runner) settle(l *lane, n int) {
+	l.progress.Add(int64(n))
+	r.advance(l)
+}
+
+// lose accounts n planned messages a failure made unexecutable. Lost
+// messages advance the phase barrier like executions — they are
+// resolved plan, just resolved by loss — but count toward no phase's
+// Executed.
+func (r *runner) lose(l *lane, n int) {
 	r.lost.Add(int64(n))
-	r.executedAll.Add(int64(n))
-	r.advance()
+	r.settle(l, n)
 }
 
-// accountDown absorbs an issue refusal caused by a failed node: the
-// burst's messages are lost, the sender goes on. Any other issue error
-// still stops the run.
-func (r *runner) accountDown(err error, n int) bool {
-	var nd *core.NodeDownError
-	if !errors.As(err, &nd) {
-		return false
-	}
-	r.addLost(n)
-	return true
-}
-
-// doFail tears node down mid-run. It executes serially (the armed Fail
-// holds the engine) so the loss ledger is exact: every planned message
-// lands in exactly one of executed, handler-errored, or lost.
-func (r *runner) doFail(node int) {
+// doFail tears node down mid-run on behalf of the lane whose phase armed
+// the failure. It executes serially (the armed Fail holds the engine)
+// so the loss ledger is exact: every planned message lands in exactly
+// one of executed, handler-errored, or lost.
+func (r *runner) doFail(l *lane, node int) {
 	// Abandon the dead node's own unissued plan first, so the FailPending
 	// callbacks below (which re-fire issue chains synchronously) see the
 	// chain already dead.
 	var abandoned int
-	if cs := r.chains[node]; cs != nil && !cs.dead {
-		cs.dead = true
-		for _, b := range cs.queue[cs.next:] {
+	if s := l.chains[node]; s != nil && !s.dead {
+		s.dead = true
+		for _, b := range s.queue[s.next:] {
 			abandoned += len(b.args)
 		}
 	}
 	r.down[node] = true
 	// Channels touching the dead node will not be created while it is
-	// down: drop them from the open phase's missing set, or the channel-
-	// creation hold would pin the engine serial forever.
+	// down: drop them from the missing set, or the channel-creation hold
+	// would pin the engine serial forever.
 	if r.pairsHold {
 		for k := range r.missing {
-			if k[0] == node || k[1] == node {
+			if k.src == node || k.dst == node {
 				delete(r.missing, k)
 			}
 		}
@@ -738,124 +761,146 @@ func (r *runner) doFail(node int) {
 	// stopped receiver never services it).
 	nr := &r.res.PerNode[node]
 	backlog := int(r.issued[node].Load()) - nr.Executed - nr.Errors
-	r.addLost(abandoned + outbound + backlog)
+	if n := abandoned + outbound + backlog; n > 0 {
+		r.lose(l, n)
+	}
 }
 
-// armClosedSender installs the self-clocked issue chain: each sender
-// fires its next burst when the last message of the previous one
-// completes delivery. One completion callback per sender, not per
-// burst: fire is the self-clock, onDone re-arms it.
-func (r *runner) armClosedSender(src int, queue []burst) {
-	s := src
-	cs := &chainState{queue: queue}
-	r.chains[s] = cs
+// sender is one lane's issue state on one source node for one phase.
+// Closed-loop arms also keep their chain position here, so a node
+// failure can abandon (and account) the dead node's unissued remainder.
+type sender struct {
+	r       *runner
+	l       *lane
+	src     int
+	shard   int
+	eng     *sim.Engine
+	issueAt sim.Time // engine time of the latest issue attempt
+
+	queue []burst
+	next  int
+	dead  bool
+}
+
+func (r *runner) newSender(l *lane, src int) *sender {
+	return &sender{r: r, l: l, src: src, shard: r.sys.ShardOf(src), eng: r.sys.EngineFor(src)}
+}
+
+// issueOutcome is what one issue attempt did with its burst.
+type issueOutcome uint8
+
+const (
+	inFlight issueOutcome = iota // on the wire: the completion callback will run
+	settled                      // resolved at issue: lost to a down node, or dropped
+	held                         // deferred with a re-issue armed, or the run stopped
+)
+
+// issue sends burst b from the sender's node: resolve the lane's handle,
+// build the call options, issue, and send every refusal through one
+// policy — a *core.NodeDownError loses the burst, an admission Drop
+// drops it, an admission Defer runs retry after the bucket's hint on
+// the issuing shard's engine (engine-local, so it is safe inside
+// concurrent windows). onDone, when set, observes the completion; a
+// tenant lane without one still records its latency sample.
+func (s *sender) issue(b *burst, onDone func(tc.Result), retry func()) issueOutcome {
+	r, l := s.r, s.l
+	if r.failed.Load() {
+		return held
+	}
+	fn, err := r.fnFor(l, s.src, b.mix.Pkg, b.mix.Elem)
+	if err != nil {
+		r.fail(err)
+		return held
+	}
+	// Func.Call consumes its options synchronously: the option slice
+	// lives on the stack, so the issue path allocates none.
+	var buf [3]tc.CallOpt
+	opts := append(buf[:0], tc.Burst(b.args), tc.Payload(r.payload))
+	if b.local {
+		opts = append(opts, tc.Local())
+	}
+	s.issueAt = s.eng.Now()
+	fu := fn.Call(b.dst, b.args[0], opts...)
+	if err := fu.IssueErr(); err != nil {
+		// A failed-at-issue future never armed, so recycling is on us.
+		fu.Release()
+		var nd *core.NodeDownError
+		var ae *tenant.AdmissionError
+		switch {
+		case errors.As(err, &nd):
+			r.lose(l, len(b.args))
+			return settled
+		case errors.As(err, &ae) && ae.Deferred:
+			s.eng.After(ae.RetryAfter, retry)
+			return held
+		case errors.As(err, &ae):
+			r.done(l, len(b.args))
+			return settled
+		}
+		r.fail(err)
+		return held
+	}
+	r.issued[b.dst].Add(int64(len(b.args)))
+	if onDone == nil && l.lat != nil {
+		at := s.issueAt
+		onDone = func(res tc.Result) { l.sample(s.shard, res, at) }
+	}
+	if onDone != nil {
+		fu.Done(onDone)
+		// The future is not touched after its Done callback: hand it back
+		// to the pool so senders recycle one future per in-flight burst.
+		fu.Release()
+	}
+	// Otherwise fire and forget: the unobserved future recycles itself.
+	return inFlight
+}
+
+// armClosed installs the self-clocked issue chain: the sender fires its
+// next burst when the previous one completes delivery, and straight away
+// when the previous one was lost or dropped at issue. One completion
+// callback per chain, not per burst: fire is the self-clock, onDone
+// re-arms it.
+func (r *runner) armClosed(l *lane, src int, queue []burst) {
+	s := r.newSender(l, src)
+	s.queue = queue
+	l.chains[src] = s
 	var fire func()
-	onDone := func(tc.Result) { fire() }
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	optScratch := make([]tc.CallOpt, 0, 3)
+	onDone := func(res tc.Result) {
+		l.sample(s.shard, res, s.issueAt)
+		fire()
+	}
 	fire = func() {
-		for {
-			if cs.next >= len(cs.queue) || cs.dead || r.failed.Load() {
+		for s.next < len(s.queue) && !s.dead {
+			switch s.issue(&s.queue[s.next], onDone, fire) {
+			case inFlight:
+				s.next++
+				return
+			case held:
 				return
 			}
-			b := &cs.queue[cs.next]
-			cs.next++
-			fn, err := r.fnFor(s, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				// A burst refused because a node is down is lost, and the
-				// chain self-clocks straight into its next burst; any other
-				// synchronous issue failure (bad element) stops the run.
-				if r.accountDown(err, len(b.args)) {
-					continue
-				}
-				r.fail(err)
-				return
-			}
-			r.issued[b.dst].Add(int64(len(b.args)))
-			fu.Done(onDone)
-			// The future is not touched after its Done callback: hand it
-			// back to the pool so self-clocked senders recycle one future
-			// per in-flight burst instead of allocating per burst.
-			fu.Release()
-			return
+			s.next++
 		}
 	}
 	r.sys.After(src, 0, fire)
 }
 
-// armOpenSender schedules every burst at its pre-drawn arrival offset
-// from now — open-loop offered load, independent of completions.
-func (r *runner) armOpenSender(src int, queue []burst) {
-	payloadOpt := tc.Payload(r.payload)
-	localOpt := tc.Local()
-	// Func.Call consumes its options synchronously, so one per-sender
-	// scratch serves every scheduled burst — the issue path allocates no
-	// option slice, matching the closed-loop sender.
-	optScratch := make([]tc.CallOpt, 0, 3)
+// armOpen schedules every burst at its pre-drawn arrival offset from
+// now — open-loop offered load, independent of completions. A deferred
+// burst re-issues at the retry hint while later bursts keep their own
+// schedule.
+func (r *runner) armOpen(l *lane, src int, queue []burst) {
+	s := r.newSender(l, src)
 	for i := range queue {
 		b := &queue[i]
-		r.sys.After(src, b.at, func() {
-			if r.failed.Load() {
-				return
-			}
-			fn, err := r.fnFor(src, b.mix.Pkg, b.mix.Elem)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			callOpts := append(optScratch[:0], tc.Burst(b.args), payloadOpt)
-			if b.local {
-				callOpts = append(callOpts, localOpt)
-			}
-			fu := fn.Call(b.dst, b.args[0], callOpts...)
-			if err := fu.IssueErr(); err != nil {
-				if r.accountDown(err, len(b.args)) {
-					return
-				}
-				r.fail(err)
-				return
-			}
-			r.issued[b.dst].Add(int64(len(b.args)))
-			// Fire and forget: the unobserved future recycles itself.
-		})
+		var send func()
+		send = func() { s.issue(b, nil, send) }
+		r.sys.After(src, b.at, send)
 	}
 }
 
-// Run executes the scenario and reports the result. The run is fully
-// deterministic: equal scenarios produce equal results. Validation and
-// plan-building failures are *ScenarioError.
-func Run(sc Scenario) (*Result, error) {
-	if err := sc.validateScalars(); err != nil {
-		return nil, err
-	}
-	// resolvePhases both defaults and validates the phase surface — one
-	// pass covers what Validate would check.
-	specs, err := sc.resolvePhases()
-	if err != nil {
-		return nil, err
-	}
-	if len(sc.Tenants) > 0 {
-		return runTenants(&sc, specs)
-	}
-	pkgs, err := packagesFor(specs)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := frameSizeFor(pkgs, specs, sc.PayloadBytes)
-	if err != nil {
-		return nil, err
-	}
-
+// newSystem builds the scenario's system with the mailbox frame sized
+// for its largest message.
+func newSystem(sc *Scenario, frame int) (*tc.System, error) {
 	opts := []tc.SystemOpt{
 		tc.WithSeed(sc.Seed),
 		tc.WithTiming(sc.Timing),
@@ -878,68 +923,138 @@ func Run(sc Scenario) (*Result, error) {
 			LookaheadBoost: sc.Chaos.LookaheadBoost,
 		}))
 	}
-	sys, err := tc.NewSystem(sc.Nodes, opts...)
+	return tc.NewSystem(sc.Nodes, opts...)
+}
+
+// addLane registers the lane's tenant (if any) and installs its apps in
+// name order, so package IDs are a pure function of the scenario.
+func (r *runner) addLane(ls *laneSpec, apps []string, pkgs map[string]*core.Package) error {
+	nodes, shards := r.sc.Nodes, r.res.Shards
+	l := &lane{
+		specs:     ls.specs,
+		plans:     make([]*phasePlan, len(ls.specs)),
+		cum:       make([]int, len(ls.specs)),
+		phaseExec: make([]atomic.Int64, len(ls.specs)),
+		phases:    make([]PhaseResult, len(ls.specs)),
+		fns:       make([]map[[2]string]*tc.Func, nodes),
+		chains:    make([]*sender, nodes),
+	}
+	install := r.sys.InstallPackage
+	if ls.ten == nil {
+		r.execLane = l
+	} else {
+		tn, err := r.sys.AddTenant(*ls.ten)
+		if err != nil {
+			return err
+		}
+		l.ten, l.view = tn, tn.Name
+		l.svc = make([][]sim.Time, shards)
+		l.lat = make([][]sim.Duration, shards)
+		l.errs = make([]int64, shards)
+		r.laneByView[l.view] = l
+		install = func(pkg *core.Package) error { return r.sys.InstallPackageFor(tn.Name, pkg) }
+	}
+	for _, name := range apps {
+		if err := install(pkgs[name]); err != nil {
+			return err
+		}
+	}
+	r.lanes = append(r.lanes, l)
+	return nil
+}
+
+// Run executes the scenario and reports the result. The run is fully
+// deterministic: equal scenarios produce equal results. Validation and
+// plan-building failures are *ScenarioError.
+func Run(sc Scenario) (*Result, error) {
+	if err := sc.validateScalars(); err != nil {
+		return nil, err
+	}
+	// resolvePhases and resolveLanes both default and validate — one pass
+	// covers what Validate would check.
+	base, err := sc.resolvePhases()
 	if err != nil {
 		return nil, err
 	}
-	// Install every referenced package in name order, so package IDs are
-	// a pure function of the scenario.
-	for _, name := range sortedKeys(pkgs) {
-		if err := sys.InstallPackage(pkgs[name]); err != nil {
+	laneSpecs, err := sc.resolveLanes(base)
+	if err != nil {
+		return nil, err
+	}
+	// Package builds and frame geometry cover every lane's phases.
+	pkgs := map[string]*core.Package{}
+	apps := make([][]string, len(laneSpecs))
+	var all []phaseSpec
+	for i := range laneSpecs {
+		if apps[i], err = packagesFor(laneSpecs[i].specs, pkgs); err != nil {
 			return nil, err
 		}
+		all = append(all, laneSpecs[i].specs...)
+	}
+	frame, err := frameSizeFor(pkgs, all, sc.PayloadBytes)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := newSystem(&sc, frame)
+	if err != nil {
+		return nil, err
 	}
 
-	topo := Topology{
-		Nodes:   sc.Nodes,
-		Shards:  sys.Mesh().Cfg.Shards,
-		ShardOf: sys.ShardOf,
-	}
+	topo := Topology{Nodes: sc.Nodes, Shards: sys.Mesh().Cfg.Shards, ShardOf: sys.ShardOf}
 	res := &Result{
 		Scenario: sc,
 		Shards:   topo.Shards,
 		Workers:  sys.Workers(),
 		PerNode:  make([]NodeResult, sc.Nodes),
-		Phases:   make([]PhaseResult, len(specs)),
 		HotNode:  -1,
 	}
 	r := &runner{
-		sc:        &sc,
-		sys:       sys,
-		res:       res,
-		plans:     make([]*phasePlan, len(specs)),
-		cum:       make([]int, len(specs)),
-		phaseExec: make([]atomic.Int64, len(specs)),
-		fns:       make([]map[[2]string]*tc.Func, sc.Nodes),
-		payload:   make([]byte, sc.PayloadBytes),
-		sharded:   sys.Sharded(),
-		missing:   map[[2]int]bool{},
-		chains:    make([]*chainState, sc.Nodes),
-		issued:    make([]atomic.Int64, sc.Nodes),
-		down:      make([]bool, sc.Nodes),
+		sc:         &sc,
+		sys:        sys,
+		res:        res,
+		laneByView: map[string]*lane{},
+		payload:    make([]byte, sc.PayloadBytes),
+		sharded:    sys.Sharded(),
+		missing:    map[chanKey]bool{},
+		issued:     make([]atomic.Int64, sc.Nodes),
+		down:       make([]bool, sc.Nodes),
 	}
-	sys.Mesh().OnChannelCreated = r.onChannel
 	for i := range r.payload {
 		r.payload[i] = byte(i*31 + 7)
 	}
-	// Plans are generated phase by phase from the one seeded RNG before
-	// the simulation starts.
-	total := 0
-	for i := range specs {
-		pp, err := buildPlan(&sc, topo, &specs[i], sys.RNG())
-		if err != nil {
+	// Lanes register in declared order (dense tenant IDs = arbiter
+	// classes).
+	for i := range laneSpecs {
+		if err := r.addLane(&laneSpecs[i], apps[i], pkgs); err != nil {
 			return nil, err
 		}
-		r.plans[i] = pp
-		total += pp.total
-		r.cum[i] = total
-		res.Phases[i].Name = specs[i].name
-		res.Phases[i].Planned = pp.total
-		if pp.hotNode >= 0 {
-			res.HotNode = pp.hotNode
-		}
-		for dst, n := range pp.sent {
-			res.PerNode[dst].Sent += n
+	}
+	sys.Mesh().OnChannelCreated = r.onChannel
+
+	// Plans: lanes in order, phases in order, one seeded RNG — the whole
+	// schedule is generated before the simulation starts, a pure function
+	// of the scenario.
+	for _, l := range r.lanes {
+		total := 0
+		for j := range l.specs {
+			pp, err := buildPlan(&sc, topo, &l.specs[j], sys.RNG())
+			if err != nil {
+				return nil, err
+			}
+			if l.ten != nil && pp.swapNode >= 0 {
+				return nil, &ScenarioError{Field: l.specs[j].trafficField(),
+					Reason: "mid-phase RIED swaps are not supported in tenant phases"}
+			}
+			l.plans[j] = pp
+			total += pp.total
+			l.cum[j] = total
+			l.phases[j].Name = l.specs[j].name
+			l.phases[j].Planned = pp.total
+			if pp.hotNode >= 0 {
+				res.HotNode = pp.hotNode
+			}
+			for dst, n := range pp.sent {
+				res.PerNode[dst].Sent += n
+			}
 		}
 	}
 
@@ -947,9 +1062,9 @@ func Run(sc Scenario) (*Result, error) {
 		node := i
 		sys.Node(i).OnExecuted = func(ret uint64, _ sim.Duration, err error) {
 			// Per-node state belongs to the executing node's shard; the
-			// fabric-wide tallies are atomic; everything phase-advancing
-			// or swap-triggering only ever runs while the engine is
-			// serial (the corresponding holds pin it).
+			// progress tallies are atomic; everything phase-advancing or
+			// swap-triggering only ever runs while the engine is serial
+			// (the corresponding holds pin it).
 			nr := &res.PerNode[node]
 			if err != nil {
 				nr.Errors++
@@ -960,74 +1075,89 @@ func Run(sc Scenario) (*Result, error) {
 			if sc.OnExecuted != nil {
 				sc.OnExecuted(node, ret, err)
 			}
-			pp := r.plans[r.phase]
+			// Tenant lanes count at service completion instead (their
+			// receiver hooks attribute each service to its tenant).
+			l := r.execLane
+			if l == nil {
+				return
+			}
+			pp := l.plans[l.phase]
 			if node == pp.swapNode && !pp.swapFired && nr.Executed >= pp.swapTrigger {
 				pp.swapFired = true
-				r.performSwap(pp.swapNode, pp.swapApp)
+				r.performSwap(l, pp.swapNode, pp.swapApp)
 				if r.swapHold {
 					r.swapHold = false
 					r.sys.ReleaseSerial()
 				}
 			}
-			r.executedAll.Add(1)
-			r.phaseExec[r.phase].Add(1)
-			r.advance()
+			r.done(l, 1)
 		}
 	}
 
-	r.phase = 0
-	if r.sharded && len(specs) > 1 {
+	if r.sharded {
 		// The phase barrier is a zero-lookahead global action: hold the
-		// engine serial until the final phase opens.
-		r.phasesHold = true
-		sys.HoldSerial()
+		// engine serial until every lane's final phase opens.
+		for _, l := range r.lanes {
+			if len(l.plans) > 1 {
+				r.pendingLanes++
+			}
+		}
+		if r.pendingLanes > 0 {
+			r.phasesHold = true
+			sys.HoldSerial()
+		}
 	}
-	r.openPhase()
-	// Chain straight through leading zero-traffic phases (e.g. a
-	// swap-only opener): nothing will execute to advance past them.
-	r.advance()
+	for _, l := range r.lanes {
+		r.openPhase(l)
+		// Chain straight through leading zero-traffic phases (e.g. a
+		// swap-only opener): nothing will resolve to advance past them.
+		r.advance(l)
+	}
 	sys.Run()
 	sys.Mesh().OnChannelCreated = nil
-	for i := range specs {
-		res.Phases[i].Executed = int(r.phaseExec[i].Load())
-	}
 	if r.issueErr != nil {
 		return nil, r.issueErr
 	}
 	if r.swapErr != nil {
 		return nil, r.swapErr
 	}
-	res.Phases[r.phase].End = sim.Duration(sys.Now())
+	return r.finish()
+}
 
+// finish folds the quiesced run into the Result and checks the ledger:
+// every planned message resolved exactly once.
+func (r *runner) finish() (*Result, error) {
+	res := r.res
+	res.SimTime = sim.Duration(r.sys.Now())
+	res.Windows = r.sys.Windows()
+	res.Mesh = r.sys.Stats()
+	res.Lost = int(r.lost.Load())
+	var errSum int
 	for _, nr := range res.PerNode {
 		res.Injections += nr.Executed
 		res.Digest += nr.Digest // order-insensitive across nodes
+		errSum += nr.Errors
 	}
-	res.Lost = int(r.lost.Load())
-	res.SimTime = sim.Duration(sys.Now())
-	res.Windows = sys.Windows()
 	if secs := res.SimTime.Seconds(); secs > 0 {
 		res.RatePerSec = float64(res.Injections) / secs
 	}
-	res.Mesh = sys.Stats()
-
-	var errSum int
-	for _, nr := range res.PerNode {
-		errSum += nr.Errors
+	planned, resolved := 0, 0
+	for _, l := range r.lanes {
+		for j := range l.phases {
+			l.phases[j].Executed = int(l.phaseExec[j].Load())
+		}
+		l.phases[l.phase].End = res.SimTime
+		planned += l.cum[len(l.cum)-1]
+		resolved += int(l.progress.Load())
 	}
-	if res.Injections+errSum+res.Lost != total {
-		return res, fmt.Errorf("workload: %s executed %d+%d (+%d lost) of %d planned messages",
-			sc.Pattern, res.Injections, errSum, res.Lost, total)
+	if r.execLane != nil {
+		res.Phases = r.execLane.phases
+	} else {
+		r.reportTenants()
+	}
+	if resolved != planned {
+		return res, fmt.Errorf("workload: %s resolved %d of %d planned messages (%d executed, %d errors, %d lost)",
+			r.sc.Pattern, resolved, planned, res.Injections, errSum, res.Lost)
 	}
 	return res, nil
-}
-
-// sortedKeys returns the map's keys in sorted order.
-func sortedKeys(m map[string]*core.Package) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

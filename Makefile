@@ -1,7 +1,8 @@
 # Two-Chains build/test entry points. `make check` is the tier-1 gate CI
-# runs: formatting, vet, lint, build, race tests, and benchmark smoke
-# passes (mesh workloads plus the handle-vs-string invocation pair, with
-# -benchmem so allocation regressions surface in CI logs).
+# runs: formatting, vet, lint, build, race tests, the benchmark harness's
+# reference tests, and benchmark smoke passes (mesh workloads plus the
+# handle-vs-string invocation pair, with -benchmem so allocation
+# regressions surface in CI logs).
 #
 # `make lint` runs cmd/tclint — the static checkers for the ROADMAP's
 # ownership-domain and determinism contracts (scratchescape,
@@ -10,6 +11,11 @@
 # stale or malformed directives fail the lint themselves. The vet
 # target names copylocks/loopclosure/atomic explicitly so a toolchain
 # default change can never silently drop them.
+#
+# `make perfbench-test` runs the benchmark harness's own tests. They pin
+# every perfbench workload's digest, injection count and simulated time
+# against perfbench/refs.json; perfbench is a nested module, so
+# `go test ./...` never reaches them.
 #
 # `make examples` builds and runs every examples/* binary headless — the
 # cheapest whole-surface smoke of the public API (CI runs it too).
@@ -40,9 +46,9 @@ SMOKE_BASELINE ?= BENCH_PR9.json
 # that recorded the JIT win.
 FUNC_BASELINE ?= BENCH_PR10.json
 
-.PHONY: check fmt-check vet lint build test bench-smoke chaos-smoke bench-json profile perf examples
+.PHONY: check fmt-check vet lint build test perfbench-test bench-smoke chaos-smoke bench-json profile perf examples
 
-check: fmt-check vet build lint test chaos-smoke bench-smoke
+check: fmt-check vet build lint test perfbench-test chaos-smoke bench-smoke
 
 fmt-check:
 	@unformatted=$$($(GOFMT) -l .); \
@@ -62,6 +68,9 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 examples:
 	$(GO) build ./examples/...

@@ -512,7 +512,7 @@ func benchInvokePath(b *testing.B, handle bool) {
 				b.Fatal(res.Err)
 			}
 		} else {
-			if err := ch.Handle("tcbench", "jam_iput").Inject(args, payload, nil); err != nil {
+			if err := ch.Handle("tcbench", "jam_iput").Send(mailbox.KindInjected, [][2]uint64{args}, false, payload, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -36,25 +36,14 @@ type Bound struct {
 	localPkg, localElem uint8
 	localOK             bool
 
-	// burstScratch is the reusable frame-pointer scratch for batched
-	// sends: SendBatch never retains the slice (stalled messages are
-	// queued individually), so one per-handle buffer serves every burst.
-	burstScratch []*mailbox.Message
+	// msgScratch is the reusable frame-pointer scratch for Send: the
+	// sender never retains the slice (stalled messages are queued
+	// individually), so one per-handle buffer serves every batch.
+	msgScratch []*mailbox.Message
 
 	// injectCnt counts single injects through this handle for the
 	// auto-switch heuristic (ChannelOptions.AutoSwitchAfter).
 	injectCnt int
-}
-
-// Bind returns this channel's handle for the element, performing the
-// sender-side lookup and the travelling-GOT bind immediately. The handle
-// is cached per channel: binding twice returns the same handle.
-func (ch *Channel) Bind(pkgName, elemName string) (*Bound, error) {
-	b := ch.Handle(pkgName, elemName)
-	if err := b.ensureInject(); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Handle returns the cached per-channel handle without forcing a bind:
@@ -114,20 +103,6 @@ func (b *Bound) ensureLocal() error {
 	return nil
 }
 
-// checkUp fails sends on a severed channel fast with the typed error:
-// a torn-down receiver, a torn-down sender (a failed process issues
-// nothing), or a channel severed by FailNode (dead stays set across the
-// node's rejoin — the handle must re-resolve to the rebuilt channel).
-func (b *Bound) checkUp() error {
-	switch {
-	case b.ch.Dst.down || b.ch.dead:
-		return &NodeDownError{Src: b.ch.Src.Name, Dst: b.ch.Dst.Name, Node: b.ch.Dst.Name}
-	case b.ch.Src.down:
-		return &NodeDownError{Src: b.ch.Src.Name, Dst: b.ch.Dst.Name, Node: b.ch.Src.Name}
-	}
-	return nil
-}
-
 // fillInjected writes the wire message for the current prepared image
 // into a pooled frame.
 func (b *Bound) fillInjected(m *mailbox.Message, args [2]uint64, usr []byte) {
@@ -153,19 +128,13 @@ func (b *Bound) fillLocal(m *mailbox.Message, args [2]uint64, usr []byte) {
 	m.Usr = usr
 }
 
-// burstMsgs returns the per-handle scratch sized for an n-message batch.
-func (b *Bound) burstMsgs(n int) []*mailbox.Message {
-	if cap(b.burstScratch) < n {
-		b.burstScratch = make([]*mailbox.Message, n)
+// scratchMsgs returns the per-handle scratch sized for an n-message batch.
+func (b *Bound) scratchMsgs(n int) []*mailbox.Message {
+	if cap(b.msgScratch) < n {
+		b.msgScratch = make([]*mailbox.Message, n)
 	}
-	return b.burstScratch[:n]
+	return b.msgScratch[:n]
 }
-
-// The *Info quartet below is the allocation-free spine of the handle: it
-// speaks the mailbox's native SendInfo callback (one pooled frame per
-// message, released by the sender after packing) and is what tc.Func
-// drives with its prebound future callbacks. The Result-typed methods
-// wrap it for callers that want the higher-level Result.
 
 // takeAutoSwitch counts one single inject through the handle and reports
 // whether the auto-switch policy (ChannelOptions.AutoSwitchAfter, the
@@ -187,138 +156,61 @@ func (b *Bound) takeAutoSwitch() bool {
 	return ok
 }
 
-// InjectInfo sends one Injected Function active message, reporting
-// completion through the mailbox-level SendInfo callback. An
-// auto-switched call goes out as a Local Function message instead.
-func (b *Bound) InjectInfo(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	if b.takeAutoSwitch() {
-		return b.callLocalRaw(args, usr, done)
-	}
-	return b.injectRaw(args, usr, done)
-}
-
-// injectRaw is the post-policy injected send: bind if stale, fill a
-// pooled frame, hand it to the sender.
-func (b *Bound) injectRaw(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.ensureInject(); err != nil {
-		return err
-	}
-	m := b.ch.Sender.GetMessage()
-	b.fillInjected(m, args, usr)
-	b.ch.Sender.Send(m, done)
-	return nil
-}
-
-// InjectBurstInfo sends one Injected Function message per args entry as a
-// single batched operation (contiguous frame slots coalesce into single
-// puts); done, when non-nil, fires once per message.
-func (b *Bound) InjectBurstInfo(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if len(argsBatch) == 0 {
+// Send is the handle's one issue path: it sends one active message per
+// batch entry, reporting each completion through the mailbox-level
+// SendInfo callback (one pooled frame per message, released by the
+// sender after packing, so the steady-state path allocates nothing).
+// kind selects the invocation method: mailbox.KindInjected ships the
+// pre-bound code in the frame; mailbox.KindLocal ships only the
+// receiver-side package and element IDs. A single call is a batch of
+// one.
+//
+// With burst set, the batch goes out as one batched operation whose
+// contiguous frame slots coalesce into single puts, and it never
+// auto-switches. Without it, every frame is its own put, and an
+// injected send counts once toward the auto-switch policy, which may
+// send it as a Local Function message instead. An empty batch sends
+// nothing. Binding is lazy and per method: an inject bind failure does
+// not poison Local Function sends through the same handle.
+func (b *Bound) Send(kind uint8, batch [][2]uint64, burst bool, usr []byte, done func(mailbox.SendInfo)) error {
+	if len(batch) == 0 {
 		return nil
 	}
-	if err := b.checkUp(); err != nil {
+	if err := b.ch.checkUp(); err != nil {
 		return err
 	}
-	if err := b.ensureInject(); err != nil {
+	if kind == mailbox.KindInjected && !burst && b.takeAutoSwitch() {
+		kind = mailbox.KindLocal
+	}
+	var err error
+	switch kind {
+	case mailbox.KindInjected:
+		err = b.ensureInject()
+	case mailbox.KindLocal:
+		err = b.ensureLocal()
+	default:
+		err = fmt.Errorf("core: %s->%s: message kind %d is not an invocation", b.ch.Src.Name, b.ch.Dst.Name, kind)
+	}
+	if err != nil {
 		return err
 	}
-	msgs := b.burstMsgs(len(argsBatch))
-	for i, args := range argsBatch {
-		m := b.ch.Sender.GetMessage()
-		b.fillInjected(m, args, usr)
+	snd := b.ch.Sender
+	msgs := b.scratchMsgs(len(batch))
+	for i, args := range batch {
+		m := snd.GetMessage()
+		if kind == mailbox.KindInjected {
+			b.fillInjected(m, args, usr)
+		} else {
+			b.fillLocal(m, args, usr)
+		}
 		msgs[i] = m
 	}
-	b.ch.Sender.SendBatch(msgs, done)
-	return nil
-}
-
-// CallLocalInfo sends a Local Function active message, reporting
-// completion through the mailbox-level SendInfo callback.
-func (b *Bound) CallLocalInfo(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	return b.callLocalRaw(args, usr, done)
-}
-
-// callLocalRaw is the post-check local send shared with the auto-switch
-// downgrade path.
-func (b *Bound) callLocalRaw(args [2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if err := b.ensureLocal(); err != nil {
-		return err
-	}
-	m := b.ch.Sender.GetMessage()
-	b.fillLocal(m, args, usr)
-	b.ch.Sender.Send(m, done)
-	return nil
-}
-
-// CallLocalBurstInfo sends one Local Function message per args entry as a
-// batch, coalescing contiguous frames like InjectBurstInfo.
-func (b *Bound) CallLocalBurstInfo(argsBatch [][2]uint64, usr []byte, done func(mailbox.SendInfo)) error {
-	if len(argsBatch) == 0 {
+	if burst {
+		snd.SendBatch(msgs, done)
 		return nil
 	}
-	if err := b.checkUp(); err != nil {
-		return err
+	for _, m := range msgs {
+		snd.Send(m, done)
 	}
-	if err := b.ensureLocal(); err != nil {
-		return err
-	}
-	msgs := b.burstMsgs(len(argsBatch))
-	for i, args := range argsBatch {
-		m := b.ch.Sender.GetMessage()
-		b.fillLocal(m, args, usr)
-		msgs[i] = m
-	}
-	b.ch.Sender.SendBatch(msgs, done)
 	return nil
-}
-
-// Inject sends one Injected Function active message through the handle:
-// the pre-bound code travels in the frame and executes on arrival. An
-// auto-switched call goes out — and reports its Result — as a Local
-// Function message instead.
-func (b *Bound) Inject(args [2]uint64, usr []byte, done func(Result)) error {
-	if err := b.checkUp(); err != nil {
-		return err
-	}
-	if b.takeAutoSwitch() {
-		return b.callLocalRaw(args, usr, wrapDone(done, false))
-	}
-	return b.injectRaw(args, usr, wrapDone(done, true))
-}
-
-// InjectBurst sends one Injected Function message per args entry as a
-// single batched operation; the mailbox sender coalesces contiguous frame
-// slots into single puts. usr is the shared payload; done, when non-nil,
-// fires once per message.
-func (b *Bound) InjectBurst(argsBatch [][2]uint64, usr []byte, done func(Result)) error {
-	return b.InjectBurstInfo(argsBatch, usr, wrapDone(done, true))
-}
-
-// CallLocal sends a Local Function active message through the handle:
-// only the pre-resolved IDs and payload travel; the receiver calls its
-// library copy of the function.
-func (b *Bound) CallLocal(args [2]uint64, usr []byte, done func(Result)) error {
-	return b.CallLocalInfo(args, usr, wrapDone(done, false))
-}
-
-// CallLocalBurst sends one Local Function message per args entry as a
-// batch, coalescing contiguous frames like InjectBurst.
-func (b *Bound) CallLocalBurst(argsBatch [][2]uint64, usr []byte, done func(Result)) error {
-	return b.CallLocalBurstInfo(argsBatch, usr, wrapDone(done, false))
-}
-
-// InjectedWireLen reports the frame size an Inject with a payload of
-// usrLen bytes would occupy.
-func (b *Bound) InjectedWireLen(usrLen int) (int, error) {
-	if err := b.ensureInject(); err != nil {
-		return 0, err
-	}
-	m := &mailbox.Message{Kind: mailbox.KindInjected, JamImage: b.pj.image, Usr: make([]byte, usrLen)}
-	return m.WireLen(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"twochains/internal/mailbox"
-	"twochains/internal/sim"
 )
 
 // ChannelOptions tune a sender-side connection.
@@ -61,16 +60,6 @@ type preparedJam struct {
 	patches []mailbox.GotPatch
 	pkgID   uint8
 	elemID  uint8
-}
-
-// Connect opens a channel from src to dst over dst's primary mailbox. dst
-// must have its mailbox enabled. The connection performs the namespace
-// exchange and wires the credit return path when credits are on.
-func Connect(src, dst *Node, opts ChannelOptions) (*Channel, error) {
-	if dst.Receiver == nil {
-		return nil, fmt.Errorf("core: connect %s->%s: destination has no mailbox", src.Name, dst.Name)
-	}
-	return ConnectTo(src, dst, dst.Receiver, opts)
 }
 
 // ConnectTo opens a channel from src into a specific mailbox region on
@@ -142,34 +131,27 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// Result reports the outcome of one active message send.
-type Result struct {
-	Seq       uint32
-	Err       error
-	Delivered sim.Time
-	// Injected records which invocation method was actually used (the
-	// auto-switch optimization may downgrade an inject to a local call).
-	Injected bool
+// checkUp fails sends on a severed channel fast with the typed error:
+// a torn-down receiver, a torn-down sender (a failed process issues
+// nothing), or a channel severed by FailNode (dead stays set across the
+// node's rejoin — a cached handle must re-resolve to the rebuilt channel).
+func (ch *Channel) checkUp() error {
+	switch {
+	case ch.Dst.down || ch.dead:
+		return &NodeDownError{Src: ch.Src.Name, Dst: ch.Dst.Name, Node: ch.Dst.Name}
+	case ch.Src.down:
+		return &NodeDownError{Src: ch.Src.Name, Dst: ch.Dst.Name, Node: ch.Src.Name}
+	}
+	return nil
 }
 
 // SendData sends a delivery-only frame (the without-execution mode used by
-// the Fig. 5/6 overhead experiments).
-func (ch *Channel) SendData(usr []byte, done func(Result)) {
-	ch.Sender.Send(mailbox.PackData(usr), wrapDone(done, false))
-}
-
-// InjectedWireLen reports the frame size an Inject of the element with a
-// payload of usrLen bytes would occupy; benchmarks use it to configure
-// mailbox geometry.
-func (ch *Channel) InjectedWireLen(pkgName, elemName string, usrLen int) (int, error) {
-	return ch.Handle(pkgName, elemName).InjectedWireLen(usrLen)
-}
-
-func wrapDone(done func(Result), injected bool) func(mailbox.SendInfo) {
-	if done == nil {
-		return nil
+// the Fig. 5/6 overhead experiments). It fails fast, like a Bound send,
+// when either end is torn down or the channel was severed.
+func (ch *Channel) SendData(usr []byte, done func(mailbox.SendInfo)) error {
+	if err := ch.checkUp(); err != nil {
+		return err
 	}
-	return func(info mailbox.SendInfo) {
-		done(Result{Seq: info.Seq, Err: info.Err, Delivered: info.Delivered, Injected: injected})
-	}
+	ch.Sender.Send(mailbox.PackData(usr), done)
+	return nil
 }

@@ -199,10 +199,8 @@ type Node struct {
 	Counter *cpusim.Counter
 	Stdout  bytes.Buffer
 
-	// Receiver is the primary mailbox (EnableMailbox); Receivers holds
-	// every armed mailbox region, one per inbound channel in mesh
-	// deployments (AddMailbox).
-	Receiver  *mailbox.Receiver
+	// Receivers holds every armed mailbox region (AddMailbox), one per
+	// inbound channel.
 	Receivers []*mailbox.Receiver
 
 	pkgs    map[string]*InstalledPackage

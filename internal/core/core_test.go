@@ -40,14 +40,39 @@ func newBench(t *testing.T, frameSize int, nodeCfg NodeConfig, chOpts ChannelOpt
 	g := mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: frameSize}
 	rcfg := mailbox.DefaultReceiverConfig(g)
 	rcfg.Credits = true
-	if err := b.EnableMailbox(rcfg); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, chOpts)
+	ch := connect(t, a, b, rcfg, chOpts)
+	return &bench{c: c, a: a, b: b, ab: ch, pkg: pkg}
+}
+
+// connect arms a fresh mailbox region on dst and opens a channel from
+// src into it — the per-channel region layout the mesh uses.
+func connect(t testing.TB, src, dst *Node, rcfg mailbox.ReceiverConfig, opts ChannelOptions) *Channel {
+	t.Helper()
+	recv, err := dst.AddMailbox(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &bench{c: c, a: a, b: b, ab: ch, pkg: pkg}
+	ch, err := ConnectTo(src, dst, recv, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// inject sends one Injected Function message through h.
+func inject(h *Bound, args [2]uint64, usr []byte) error {
+	return h.Send(mailbox.KindInjected, [][2]uint64{args}, false, usr, nil)
+}
+
+// callLocal sends one Local Function message through h.
+func callLocal(h *Bound, args [2]uint64, usr []byte) error {
+	return h.Send(mailbox.KindLocal, [][2]uint64{args}, false, usr, nil)
+}
+
+// injectBurst sends one Injected Function message per batch entry as a
+// single batched operation.
+func injectBurst(h *Bound, batch [][2]uint64, usr []byte) error {
+	return h.Send(mailbox.KindInjected, batch, true, usr, nil)
 }
 
 func quickCfg() NodeConfig {
@@ -137,7 +162,7 @@ func TestInjectedSSSum(t *testing.T) {
 		}
 		ret = r
 	}
-	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+	if err := inject(bn.ab.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 		t.Fatal(err)
 	}
 	bn.c.Run()
@@ -177,9 +202,9 @@ func TestLocalMatchesInjected(t *testing.T) {
 			}
 			var err error
 			if local {
-				err = bn.ab.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil)
+				err = callLocal(bn.ab.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload)
 			} else {
-				err = bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil)
+				err = inject(bn.ab.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -206,7 +231,7 @@ func TestIndirectPut(t *testing.T) {
 	}
 	// Same key twice, then a different key.
 	for _, key := range []uint64{42, 42, 99} {
-		if err := bn.ab.Handle("tcbench", "jam_iput").Inject([2]uint64{key, 0}, payload, nil); err != nil {
+		if err := inject(bn.ab.Handle("tcbench", "jam_iput"), [2]uint64{key, 0}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +264,7 @@ func TestIndirectPut(t *testing.T) {
 
 func TestJamHelloPrintfWithTravellingRodata(t *testing.T) {
 	bn := newBench(t, 1024, quickCfg(), ChannelOptions{})
-	if err := bn.ab.Handle("tcbench", "jam_hello").Inject([2]uint64{7, 0}, []byte("xyz"), nil); err != nil {
+	if err := inject(bn.ab.Handle("tcbench", "jam_hello"), [2]uint64{7, 0}, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
 	bn.c.Run()
@@ -263,41 +288,73 @@ func TestInjectMissingSymbolFails(t *testing.T) {
 	}
 	// B gets no package at all.
 	g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ch.Handle("tcbench", "jam_iput").Inject([2]uint64{1, 0}, nil, nil)
+	ch := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
+	h := ch.Handle("tcbench", "jam_iput")
+	err = inject(h, [2]uint64{1, 0}, nil)
 	if err == nil || !strings.Contains(err.Error(), "tc_") {
 		t.Fatalf("inject without ried: %v", err)
+	}
+	// Binding is lazy and per method: once B installs the package, Local
+	// Function sends through the handle whose inject bind failed work
+	// (B's IDs resolve at send time), and injects work after a fresh
+	// namespace exchange.
+	if _, err := b.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	var rets []uint64
+	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
+		if err != nil {
+			t.Errorf("exec: %v", err)
+		}
+		rets = append(rets, r)
+	}
+	if err := callLocal(h, [2]uint64{1, 0}, nil); err != nil {
+		t.Fatalf("local send after a failed inject bind: %v", err)
+	}
+	c.Run()
+	ch.RefreshNames()
+	if err := inject(h, [2]uint64{1, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	// Same key, same slot: both methods ran the same put.
+	if len(rets) != 2 || rets[0] != rets[1] {
+		t.Fatalf("results %v, want two equal offsets", rets)
 	}
 }
 
 func TestAutoSwitchToLocal(t *testing.T) {
 	bn := newBench(t, 1024, quickCfg(), ChannelOptions{AutoSwitchAfter: 2})
-	var kinds []bool
+	var kinds []uint8
+	bn.ab.Recv.OnProcessed = func(d *mailbox.Delivery, _ sim.Time) { kinds = append(kinds, d.Kind) }
+	h := bn.ab.Handle("tcbench", "jam_sssum")
+	usr := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	// Bursts never auto-switch and do not count toward the threshold —
+	// a one-element burst included, before and after the singles cross it.
+	if err := injectBurst(h, make([][2]uint64, 1), usr); err != nil {
+		t.Fatal(err)
+	}
+	if err := injectBurst(h, make([][2]uint64, 3), usr); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			func(r Result) { kinds = append(kinds, r.Injected) })
-		if err != nil {
+		if err := inject(h, [2]uint64{}, usr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bn.c.Run()
-	if len(kinds) != 5 {
-		t.Fatalf("delivered %d", len(kinds))
+	if err := injectBurst(h, make([][2]uint64, 1), usr); err != nil {
+		t.Fatal(err)
 	}
-	want := []bool{true, true, false, false, false}
+	bn.c.Run()
+	const I, L = mailbox.KindInjected, mailbox.KindLocal
+	want := []uint8{I, I, I, I, I, I, L, L, L, I}
+	if len(kinds) != len(want) {
+		t.Fatalf("delivered %d, want %d", len(kinds), len(want))
+	}
 	for i := range want {
 		if kinds[i] != want[i] {
-			t.Fatalf("auto-switch pattern %v, want %v", kinds, want)
+			t.Fatalf("wire kinds %v, want %v", kinds, want)
 		}
-	}
-	if bn.b.Receiver.Stats().Processed != 5 {
-		t.Fatal("not all processed")
 	}
 }
 
@@ -313,7 +370,7 @@ func TestSecureExecMode(t *testing.T) {
 	var ret uint64
 	var execErr error
 	bn.b.OnExecuted = func(r uint64, _ sim.Duration, err error) { ret, execErr = r, err }
-	if err := bn.ab.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+	if err := inject(bn.ab.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 		t.Fatal(err)
 	}
 	bn.c.Run()
@@ -379,20 +436,8 @@ jam_scaled:
 		t.Fatal(err)
 	}
 	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	chB, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chC, err := Connect(a, d, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chB := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
+	chC := connect(t, a, d, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
 	var retB, retC uint64
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
 		if err != nil {
@@ -408,10 +453,10 @@ jam_scaled:
 	}
 	// The same jam, injected to two processes, resolves tc_scale
 	// differently on each.
-	if err := chB.Handle("scaled", "jam_scaled").Inject([2]uint64{5, 0}, nil, nil); err != nil {
+	if err := inject(chB.Handle("scaled", "jam_scaled"), [2]uint64{5, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := chC.Handle("scaled", "jam_scaled").Inject([2]uint64{5, 0}, nil, nil); err != nil {
+	if err := inject(chC.Handle("scaled", "jam_scaled"), [2]uint64{5, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -463,13 +508,7 @@ tc_op:
 		t.Fatal(err)
 	}
 	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 512}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
 	var results []uint64
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
 		if err != nil {
@@ -477,7 +516,7 @@ tc_op:
 		}
 		results = append(results, r)
 	}
-	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
+	if err := inject(ch.Handle("ops", "jam_op"), [2]uint64{10, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -493,7 +532,7 @@ tc_op:
 	}
 	ch.RefreshNames()
 
-	if err := ch.Handle("ops", "jam_op").Inject([2]uint64{10, 0}, nil, nil); err != nil {
+	if err := inject(ch.Handle("ops", "jam_op"), [2]uint64{10, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -513,7 +552,7 @@ func TestTimingPathProducesCosts(t *testing.T) {
 		}
 		cost = c
 	}
-	if err := bn.ab.Handle("tcbench", "jam_iput").Inject([2]uint64{7, 0}, make([]byte, 256), nil); err != nil {
+	if err := inject(bn.ab.Handle("tcbench", "jam_iput"), [2]uint64{7, 0}, make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
 	bn.c.Run()

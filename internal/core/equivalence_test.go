@@ -63,13 +63,7 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 	g := mailbox.Geometry{Banks: 2, Slots: 4, FrameSize: 2048}
 	rcfg := mailbox.DefaultReceiverConfig(g)
 	rcfg.Credits = true
-	if err := b.EnableMailbox(rcfg); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := connect(t, a, b, rcfg, ChannelOptions{})
 
 	var offsets []uint64
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
@@ -80,7 +74,7 @@ func TestCJamMatchesAsmSemantics(t *testing.T) {
 	}
 	payload := []byte("C-compiled indirect put payload")
 	for _, key := range []uint64{7, 7, 1234, 7} {
-		if err := ch.Handle("tcbench", "jam_ciput").Inject([2]uint64{key, 0}, payload, nil); err != nil {
+		if err := inject(ch.Handle("tcbench", "jam_ciput"), [2]uint64{key, 0}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,13 +124,7 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 			}
 		}
 		g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 2048}
-		if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-			return 0, false
-		}
-		ch, err := Connect(a, b, ChannelOptions{})
-		if err != nil {
-			return 0, false
-		}
+		ch := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
 		var ret uint64
 		ok := true
 		b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
@@ -146,9 +134,9 @@ func TestLocalInjectedEquivalenceProperty(t *testing.T) {
 			ret = r
 		}
 		if local {
-			err = ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil)
+			err = callLocal(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload)
 		} else {
-			err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil)
+			err = inject(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload)
 		}
 		if err != nil {
 			return 0, false
@@ -201,13 +189,7 @@ jam_fine:
 		t.Fatal(err)
 	}
 	g := mailbox.Geometry{Banks: 1, Slots: 2, FrameSize: 256}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
 	var rets []uint64
 	var errs int
 	b.OnExecuted = func(r uint64, _ sim.Duration, err error) {
@@ -217,10 +199,10 @@ jam_fine:
 		}
 		rets = append(rets, r)
 	}
-	if err := ch.Handle("crashy", "jam_crash").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := inject(ch.Handle("crashy", "jam_crash"), [2]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.Handle("crashy", "jam_fine").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := inject(ch.Handle("crashy", "jam_fine"), [2]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -230,11 +212,11 @@ jam_fine:
 	if len(rets) != 1 || rets[0] != 77 {
 		t.Fatalf("survivor results %v", rets)
 	}
-	if b.Receiver.Stats().Processed != 2 {
-		t.Fatalf("processed %d", b.Receiver.Stats().Processed)
+	if ch.Recv.Stats().Processed != 2 {
+		t.Fatalf("processed %d", ch.Recv.Stats().Processed)
 	}
-	if b.Receiver.Stats().Errors != 1 {
-		t.Fatalf("receiver errors %d", b.Receiver.Stats().Errors)
+	if ch.Recv.Stats().Errors != 1 {
+		t.Fatalf("receiver errors %d", ch.Recv.Stats().Errors)
 	}
 }
 
@@ -258,16 +240,10 @@ func TestRunawayJamIsBounded(t *testing.T) {
 	}
 	b.VM.InstrBudget = 100000
 	g := mailbox.Geometry{Banks: 1, Slots: 1, FrameSize: 256}
-	if err := b.EnableMailbox(mailbox.DefaultReceiverConfig(g)); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := Connect(a, b, ChannelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := connect(t, a, b, mailbox.DefaultReceiverConfig(g), ChannelOptions{})
 	var execErr error
 	b.OnExecuted = func(_ uint64, _ sim.Duration, err error) { execErr = err }
-	if err := ch.Handle("spin", "jam_spin").Inject([2]uint64{}, nil, nil); err != nil {
+	if err := inject(ch.Handle("spin", "jam_spin"), [2]uint64{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
@@ -328,7 +304,7 @@ func TestMeshFanoutNativeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := inject(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -369,10 +345,10 @@ func TestMeshAllToAllNativeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := inject(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{}, payload, nil); err != nil {
+			if err := callLocal(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -408,7 +384,7 @@ func TestMeshHotspotHotSwapOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			if err := ch.Handle("tcbench", "jam_iput").Inject([2]uint64{k, 0}, payload, nil); err != nil {
+			if err := inject(ch.Handle("tcbench", "jam_iput"), [2]uint64{k, 0}, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -421,7 +397,7 @@ func TestMeshHotspotHotSwapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bg.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+			if err := inject(bg.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -504,15 +480,9 @@ func TestDeterministicRuns(t *testing.T) {
 		g := mailbox.Geometry{Banks: 2, Slots: 2, FrameSize: 2048}
 		rcfg := mailbox.DefaultReceiverConfig(g)
 		rcfg.Credits = true
-		if err := b.EnableMailbox(rcfg); err != nil {
-			t.Fatal(err)
-		}
-		ch, err := Connect(a, b, ChannelOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ch := connect(t, a, b, rcfg, ChannelOptions{})
 		for i := 0; i < 30; i++ {
-			if err := ch.Handle("tcbench", "jam_iput").Inject([2]uint64{uint64(i + 1), 0}, make([]byte, 64), nil); err != nil {
+			if err := inject(ch.Handle("tcbench", "jam_iput"), [2]uint64{uint64(i + 1), 0}, make([]byte, 64)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,25 +9,11 @@ import (
 	"twochains/internal/sim"
 )
 
-// EnableMailbox arms this node's primary reactive mailbox with the given
-// configuration; inbound active messages dispatch through the node's VM.
-// It must be called before peers Connect to the node.
-func (n *Node) EnableMailbox(cfg mailbox.ReceiverConfig) error {
-	if n.Receiver != nil {
-		return fmt.Errorf("core: node %s: mailbox already enabled", n.Name)
-	}
-	recv, err := n.AddMailbox(cfg)
-	if err != nil {
-		return err
-	}
-	n.Receiver = recv
-	return nil
-}
-
-// AddMailbox arms an additional, independently sequenced mailbox region on
-// this node and returns its receiver. A mailbox region admits a single
-// remote writer (slot sequencing is per-sender), so many-node fabrics give
-// every inbound channel its own region; ConnectTo targets one explicitly.
+// AddMailbox arms an independently sequenced mailbox region on this node
+// and returns its receiver; inbound active messages dispatch through the
+// node's VM. A mailbox region admits a single remote writer (slot
+// sequencing is per-sender), so every inbound channel gets its own
+// region; ConnectTo targets one explicitly.
 func (n *Node) AddMailbox(cfg mailbox.ReceiverConfig) (*mailbox.Receiver, error) {
 	recv, err := mailbox.NewReceiver(n.Worker, cfg, n.Counter, n.dispatch)
 	if err != nil {

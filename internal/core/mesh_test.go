@@ -90,7 +90,7 @@ func TestMeshJamCacheSharedAcrossChannels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, payload, nil); err != nil {
+		if err := inject(ch.Handle("tcbench", "jam_sssum"), [2]uint64{}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestMeshManySendersOneReceiver(t *testing.T) {
 			t.Fatal(err)
 		}
 		args := make([][2]uint64, perSender)
-		if err := ch.Handle("tcbench", "jam_sssum").InjectBurst(args, payload, nil); err != nil {
+		if err := injectBurst(ch.Handle("tcbench", "jam_sssum"), args, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,9 +183,8 @@ func TestMeshCrossShardSlower(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done sim.Time
-		err = ch.Handle("tcbench", "jam_sssum").Inject([2]uint64{}, make([]byte, 64), func(r Result) {
-			done = r.Delivered
-		})
+		err = ch.Handle("tcbench", "jam_sssum").Send(mailbox.KindInjected, [][2]uint64{{}}, false, make([]byte, 64),
+			func(info mailbox.SendInfo) { done = info.Delivered })
 		if err != nil {
 			t.Fatal(err)
 		}

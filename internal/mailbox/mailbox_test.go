@@ -360,7 +360,9 @@ func TestVariableFramesCostExtraWait(t *testing.T) {
 
 func TestSeparateSignalModeDelivers(t *testing.T) {
 	// Unordered fabric + separate signal put: messages must still arrive
-	// uncorrupted and in sequence.
+	// uncorrupted and in sequence, whether sent singly or as a batch, and
+	// across credit stalls and drains. Every frame is its own fenced put,
+	// so nothing coalesces.
 	eng := sim.NewEngine()
 	fab := simnet.NewFabric(eng, simnet.Config{Ordered: false, Seed: 99})
 	ctx := ucx.NewContext(fab)
@@ -368,7 +370,9 @@ func TestSeparateSignalModeDelivers(t *testing.T) {
 	b := ctx.NewWorker(mem.NewAddressSpace(4<<20), nil)
 	g := Geometry{Banks: 2, Slots: 2, FrameSize: 256}
 	var usr [][]byte
-	recv, err := NewReceiver(b, DefaultReceiverConfig(g), nil, func(d *Delivery) (sim.Duration, error) {
+	rcfg := DefaultReceiverConfig(g)
+	rcfg.Credits = true
+	recv, err := NewReceiver(b, rcfg, nil, func(d *Delivery) (sim.Duration, error) {
 		u, err := ReadUsr(b.AS, d)
 		usr = append(usr, u)
 		return 0, err
@@ -376,23 +380,39 @@ func TestSeparateSignalModeDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := SenderConfig{Geometry: g, SeparateSignal: true}
+	scfg := SenderConfig{Geometry: g, Credits: true, SeparateSignal: true}
 	snd, err := NewSender(a, a.Connect(b), scfg, recv.BaseVA, recv.Mem.Key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recv.SetCreditReturn(b.Connect(a), snd.CreditVA, snd.CreditMem.Key)
 	recv.Start()
-	for i := 0; i < 4; i++ {
+	// The batch outruns the four slots and stalls; the singles queue
+	// behind it.
+	const n = 12
+	batch := make([]*Message, 6)
+	for i := range batch {
+		batch[i] = PackLocal(1, 1, [2]uint64{}, []byte{byte(i), 0xAA})
+	}
+	snd.SendBatch(batch, nil)
+	for i := len(batch); i < n; i++ {
 		snd.Send(PackLocal(1, 1, [2]uint64{}, []byte{byte(i), 0xAA}), nil)
 	}
 	eng.Run()
-	if len(usr) != 4 {
-		t.Fatalf("delivered %d of 4", len(usr))
+	if len(usr) != n {
+		t.Fatalf("delivered %d of %d", len(usr), n)
 	}
 	for i, u := range usr {
 		if u[0] != byte(i) || u[1] != 0xAA {
-			t.Fatalf("message %d corrupted: %v", i, u)
+			t.Fatalf("message %d corrupted or out of order: %v", i, u)
 		}
+	}
+	st := snd.Stats()
+	if st.Batches != 0 || st.BatchedFrames != 0 {
+		t.Fatalf("separate-signal frames coalesced: %+v", st)
+	}
+	if st.CreditStalls == 0 || st.Sent != n {
+		t.Fatalf("stats %+v: want credit stalls and %d frames sent", st, n)
 	}
 }
 

@@ -233,87 +233,22 @@ func (s *Sender) packStaging(msg *Message, buf []byte, idx int, seq uint32, dstV
 	return nil
 }
 
-// Send packs and transmits msg to the next mailbox slot. If the target
-// bank's credit is not available the send queues until the receiver
-// returns the bank flag. done fires when the frame (and its signal) has
-// been delivered remotely.
+// Send packs and transmits msg to the next mailbox slot as one put. If
+// the target bank's credit is not available the send queues until the
+// receiver returns the bank flag. done fires when the frame (and its
+// signal) has been delivered remotely.
 func (s *Sender) Send(msg *Message, done func(SendInfo)) {
-	if len(s.stalled) > 0 {
-		s.stalled = append(s.stalled, queuedSend{msg, done})
-		return
-	}
-	s.trySend(msg, done)
+	one := [1]*Message{msg}
+	s.SendBatch(one[:], done)
 }
 
-func (s *Sender) trySend(msg *Message, done func(SendInfo)) {
-	g := s.Cfg.Geometry
-	seq := s.seq
-	bank, slot, off := g.SlotFor(seq)
-
-	if s.Cfg.Credits && slot == 0 {
-		flagVA := s.CreditVA + uint64(bank*8)
-		flag, err := s.Worker.AS.ReadU64(flagVA)
-		if err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			return
-		}
-		if flag == 0 {
-			// Bank still owned by the receiver: stall until the credit
-			// returns. Waiting costs cycles like any signal wait. The
-			// message stays queued (and, if pooled, out of the pool)
-			// until it is finally packed or fails.
-			if len(s.stalled) == 0 {
-				s.stallAt = s.eng.Now()
-				s.stats.CreditStalls++
-			}
-			s.stalled = append(s.stalled, queuedSend{msg, done})
-			return
-		}
-		// Claim the bank.
-		if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
-			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-			return
-		}
-	}
-	s.seq++
-
-	frameSize := g.FrameSize
-	stagingVA := s.staging + off
-	dstVA := s.RemoteBase + off
-
-	buf, err := s.Worker.AS.View(stagingVA, frameSize)
-	if err != nil {
-		s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-		return
-	}
-	if err := s.packStaging(msg, buf, bank*g.Slots+slot, seq, dstVA); err != nil {
-		s.finish(msg, done, SendInfo{Seq: seq, Err: err})
-		return
-	}
-	s.stats.Sent++
-
-	// GOT patching cost: one entry per travelling slot plus the pointer.
-	if msg.Kind == KindInjected {
-		entries := msg.GotTableLen/8 + 1
-		patch := sim.Duration(entries) * model.GOTPatchPerEntry
-		s.Worker.CPU.Claim(s.eng.Now(), patch)
-		if s.Counter != nil {
-			s.Counter.Work(patch)
-		}
-	}
-	// The frame bytes now live in staging: a pooled message is done.
-	msg.release()
-
-	report := s.getCompletion(seq, 1, done)
-	if s.Cfg.SeparateSignal {
-		// Body first (without trailer), fence, then the signal put: the
-		// protocol for fabrics with no write-order guarantee.
-		bodyLen := frameSize - SigSize
-		s.Ep.PutThinFenced(stagingVA, dstVA, bodyLen, SigSize, s.RemoteKey, report.putCB())
-	} else {
-		// Ordered fabric, fixed frames: the entire message in one put.
-		s.Ep.PutThin(stagingVA, dstVA, frameSize, s.RemoteKey, report.putCB())
-	}
+// frameRun is a run of frames packed into consecutive staging slots:
+// their sequence numbers are consecutive too, so one counted completion
+// record fans the run's single fabric callback out per message.
+type frameRun struct {
+	off  uint64 // staging offset of the first frame
+	n    int
+	seq0 uint32
 }
 
 // SendBatch transmits a burst of messages, amortizing the thin-put setup
@@ -323,44 +258,21 @@ func (s *Sender) trySend(msg *Message, done func(SendInfo)) {
 // once per frame. Runs break at the mailbox region wrap and at credit
 // stalls; messages past a stall queue in order and go out one by one when
 // the receiver returns the bank flag. done (when non-nil) fires once per
-// message. On fabrics without the write-order guarantee the batch
-// degenerates to individual fenced sends — the separate-signal protocol
-// puts a fence between every body and its signal, which a single coalesced
-// put cannot express.
+// message. On fabrics without the write-order guarantee every frame is
+// its own fenced put — the separate-signal protocol puts a fence between
+// every body and its signal, which a single coalesced put cannot express.
+//
+// This is the sender's one claim/pack/charge loop: Send is a batch of
+// one, and drain re-sends stalled messages through Send.
 func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
-	if s.Cfg.SeparateSignal || len(s.stalled) > 0 {
+	if len(s.stalled) > 0 {
 		for _, m := range msgs {
-			s.Send(m, done)
+			s.stalled = append(s.stalled, queuedSend{m, done})
 		}
 		return
 	}
 	g := s.Cfg.Geometry
-	frameSize := g.FrameSize
-
-	// The contiguous run is tracked as (start offset, frame count, first
-	// seq): frames of one run occupy consecutive slots, so their sequence
-	// numbers are consecutive too and a single counted completion record
-	// fans the run's one fabric callback out per message — no per-message
-	// closures.
-	var runStart uint64 // staging offset of the current contiguous run
-	var runBytes int
-	var runSeq0 uint32 // seq of the run's first frame
-
-	flush := func() {
-		if runBytes == 0 {
-			return
-		}
-		frames := runBytes / frameSize
-		if frames > 1 {
-			s.stats.Batches++
-			s.stats.BatchedFrames += uint64(frames)
-		}
-		src, dst := s.staging+runStart, s.RemoteBase+runStart
-		n := runBytes
-		runBytes = 0
-		s.Ep.PutThin(src, dst, n, s.RemoteKey, s.getCompletion(runSeq0, frames, done).putCB())
-	}
-
+	var run frameRun
 	for i, msg := range msgs {
 		seq := s.seq
 		bank, slot, off := g.SlotFor(seq)
@@ -373,9 +285,11 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				continue
 			}
 			if flag == 0 {
-				// Bank owned by the receiver: ship what we have and queue
-				// the rest behind the stall, exactly like Send would.
-				flush()
+				// Bank still owned by the receiver: ship what is packed
+				// and stall the rest until the credit returns. Waiting
+				// costs cycles like any signal wait. Queued messages stay
+				// out of the pool until they are packed or fail.
+				s.flush(&run, done)
 				s.stallAt = s.eng.Now()
 				s.stats.CreditStalls++
 				for _, m := range msgs[i:] {
@@ -383,22 +297,23 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				}
 				return
 			}
+			// Claim the bank.
 			if err := s.Worker.AS.WriteU64(flagVA, 0); err != nil {
 				s.finish(msg, done, SendInfo{Seq: seq, Err: err})
 				continue
 			}
 		}
-		if runBytes > 0 && off != runStart+uint64(runBytes) {
-			// Region wrapped: the next slot is not contiguous in memory.
-			flush()
+		if run.n > 0 && off != run.off+uint64(run.n*g.FrameSize) {
+			// Region wrapped (or a failed frame left a gap): the next
+			// slot is not contiguous in memory.
+			s.flush(&run, done)
 		}
-		if runBytes == 0 {
-			runStart = off
-			runSeq0 = seq
+		if run.n == 0 {
+			run.off, run.seq0 = off, seq
 		}
 		s.seq++
 
-		buf, err := s.Worker.AS.View(s.staging+off, frameSize)
+		buf, err := s.Worker.AS.View(s.staging+off, g.FrameSize)
 		if err != nil {
 			s.finish(msg, done, SendInfo{Seq: seq, Err: err})
 			continue
@@ -408,6 +323,8 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 			continue
 		}
 		s.stats.Sent++
+
+		// GOT patching cost: one entry per travelling slot plus the pointer.
 		if msg.Kind == KindInjected {
 			entries := msg.GotTableLen/8 + 1
 			patch := sim.Duration(entries) * model.GOTPatchPerEntry
@@ -416,10 +333,37 @@ func (s *Sender) SendBatch(msgs []*Message, done func(SendInfo)) {
 				s.Counter.Work(patch)
 			}
 		}
+		// The frame bytes now live in staging: a pooled message is done.
 		msg.release()
-		runBytes += frameSize
+		run.n++
+		if s.Cfg.SeparateSignal {
+			s.flush(&run, done)
+		}
 	}
-	flush()
+	s.flush(&run, done)
+}
+
+// flush ships the packed run, if any, and empties it. A run of one frame
+// on a fabric without the write-order guarantee goes out as the body
+// followed, behind a fence, by the signal put; every other run is one
+// put of its whole span.
+func (s *Sender) flush(run *frameRun, done func(SendInfo)) {
+	if run.n == 0 {
+		return
+	}
+	frameSize := s.Cfg.Geometry.FrameSize
+	if run.n > 1 {
+		s.stats.Batches++
+		s.stats.BatchedFrames += uint64(run.n)
+	}
+	src, dst := s.staging+run.off, s.RemoteBase+run.off
+	report := s.getCompletion(run.seq0, run.n, done).putCB()
+	if s.Cfg.SeparateSignal {
+		s.Ep.PutThinFenced(src, dst, frameSize-SigSize, SigSize, s.RemoteKey, report)
+	} else {
+		s.Ep.PutThin(src, dst, run.n*frameSize, s.RemoteKey, report)
+	}
+	run.n = 0
 }
 
 // finish reports a failed (never-packed) send and releases a pooled
@@ -450,9 +394,9 @@ func (s *Sender) drain() {
 	s.stalled = s.drainBuf[:0]
 	s.drainBuf = nil
 	for i, q := range pending {
-		s.trySend(q.msg, q.done)
+		s.Send(q.msg, q.done)
 		if len(s.stalled) > 0 {
-			// trySend re-stalled on the next bank boundary; keep the
+			// The send re-stalled on the next bank boundary; keep the
 			// remainder queued in order behind it.
 			s.stalled = append(s.stalled, pending[i+1:]...)
 			break

@@ -187,8 +187,7 @@ func buildRig(cfg RunConfig, geom mailbox.Geometry, credits bool) (*rig, error) 
 func (r *rig) send(fn *tc.Func, ch *core.Channel, dst, i int) error {
 	switch r.cfg.Kind {
 	case WkData:
-		ch.SendData(r.payload, nil)
-		return nil
+		return ch.SendData(r.payload, nil)
 	case WkLocal:
 		return fn.Call(dst, [2]uint64{r.cfg.KeyFn(i), 0}, tc.Local(), tc.Payload(r.payload)).IssueErr()
 	default:

@@ -38,10 +38,15 @@
 //	fn.Call(dst, batch[0], tc.Burst(batch), tc.Payload(usr))   // batched injection
 //	fn.Call(dst, args, tc.Local(), tc.Payload(usr))            // Local Function
 //
-// (The string-based Channel.Inject/CallLocal quartet that predated this
-// API is gone; the channel-level surface is core.Bound, reached via
-// Channel.Handle, and equivalence tests pin identical digests and
-// simulated times between the two layers for fixed seeds.)
+// Every Call takes one issue path to the wire. Func resolves the
+// per-destination core.Bound and makes one Bound.Send call carrying the
+// invocation kind (injected or local), the batch (a single call is a
+// batch of one) and the burst flag. Bound.Send fills pooled frames and
+// hands them to the mailbox sender, whose one claim/pack loop serves
+// single sends, bursts and drained credit stalls alike. core.Bound,
+// reached by string via Channel.Handle, is the channel-level surface;
+// equivalence tests pin identical digests and simulated times between
+// the two layers for fixed seeds.
 //
 // # Futures
 //

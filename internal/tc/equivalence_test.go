@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"twochains/internal/core"
+	"twochains/internal/mailbox"
 	"twochains/internal/sim"
 )
 
@@ -63,10 +64,10 @@ func runTraffic(t *testing.T, legacy bool) trafficResult {
 					if err != nil {
 						t.Fatal(err)
 					}
-					must(t, ch.Handle("tcbench", "jam_iput").Inject([2]uint64{5, 0}, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_sssum").InjectBurst(batch, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_sssum").CallLocal([2]uint64{1, 0}, payload, nil))
-					must(t, ch.Handle("tcbench", "jam_iput").CallLocalBurst(batch, payload, nil))
+					must(t, ch.Handle("tcbench", "jam_iput").Send(mailbox.KindInjected, [][2]uint64{{5, 0}}, false, payload, nil))
+					must(t, ch.Handle("tcbench", "jam_sssum").Send(mailbox.KindInjected, batch, true, payload, nil))
+					must(t, ch.Handle("tcbench", "jam_sssum").Send(mailbox.KindLocal, [][2]uint64{{1, 0}}, false, payload, nil))
+					must(t, ch.Handle("tcbench", "jam_iput").Send(mailbox.KindLocal, batch, true, payload, nil))
 				} else {
 					iput, err := sys.Func(src, "tcbench", "jam_iput")
 					if err != nil {
@@ -109,8 +110,8 @@ func runTraffic(t *testing.T, legacy bool) trafficResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		must(t, ch.Handle("tcbench", "jam_iput").Inject([2]uint64{7, 0}, payload, nil))
-		must(t, ch.Handle("tcbench", "jam_iput").InjectBurst(batch, payload, nil))
+		must(t, ch.Handle("tcbench", "jam_iput").Send(mailbox.KindInjected, [][2]uint64{{7, 0}}, false, payload, nil))
+		must(t, ch.Handle("tcbench", "jam_iput").Send(mailbox.KindInjected, batch, true, payload, nil))
 	} else {
 		iput, err := sys.Func(0, "tcbench", "jam_iput")
 		if err != nil {

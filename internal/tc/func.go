@@ -236,16 +236,18 @@ func (f *Func) issueOnce(fu *Future, dst int, args [2]uint64, cfg *callCfg) erro
 		}
 	}
 	fu.injected = !cfg.local
-	switch {
-	case cfg.local && cfg.burst:
-		return b.CallLocalBurstInfo(cfg.batch, cfg.usr, fu.infoCb)
-	case cfg.local:
-		return b.CallLocalInfo(args, cfg.usr, fu.infoCb)
-	case cfg.burst:
-		return b.InjectBurstInfo(cfg.batch, cfg.usr, fu.infoCb)
-	default:
-		return b.InjectInfo(args, cfg.usr, fu.infoCb)
+	kind := uint8(mailbox.KindInjected)
+	if cfg.local {
+		kind = mailbox.KindLocal
 	}
+	// A single call is a batch of one, built on the stack: Send keeps no
+	// reference to the batch.
+	one := [1][2]uint64{args}
+	batch := one[:]
+	if cfg.burst {
+		batch = cfg.batch
+	}
+	return b.Send(kind, batch, cfg.burst, cfg.usr, fu.infoCb)
 }
 
 // issueRetry drives the WithRetry attempt loop: each retryable failure
@@ -286,17 +288,6 @@ func (f *Func) issueRetry(fu *Future, dst int, args [2]uint64, cfg callCfg, atte
 	fu.eng.After(delay, func() {
 		f.issueRetry(fu, dst, args, cfg, attempt+1, elapsed+delay)
 	})
-}
-
-// WireLen reports the frame size an injected Call to dst with a payload
-// of usrLen bytes would occupy; benchmarks use it to size mailbox
-// geometry.
-func (f *Func) WireLen(dst, usrLen int) (int, error) {
-	b, err := f.bound(dst)
-	if err != nil {
-		return 0, err
-	}
-	return b.InjectedWireLen(usrLen)
 }
 
 // Result aggregates the outcome of one Call.
@@ -351,11 +342,10 @@ type Future struct {
 	injected bool // invocation method of the in-flight call
 	res      Result
 	cbs      []func(Result)
-	// infoCb and completeCb are prebound adapters created once per pooled
-	// future and reused across generations, so issuing a call allocates
-	// no closures.
-	infoCb     func(mailbox.SendInfo)
-	completeCb func(core.Result)
+	// infoCb is the prebound completeInfo adapter, created once per
+	// pooled future and reused across generations, so issuing a call
+	// allocates no closure.
+	infoCb func(mailbox.SendInfo)
 }
 
 // newFuture takes a future from the source shard's pool lane (or mints
@@ -373,7 +363,6 @@ func (s *System) newFuture(shard, expect int) *Future {
 	} else {
 		fu = &Future{sys: s, shard: shard, eng: s.mesh.Cluster.EngineFor(shard)}
 		fu.infoCb = fu.completeInfo
-		fu.completeCb = fu.complete
 	}
 	fu.expect = expect
 	fu.resolved, fu.observed, fu.armed, fu.released, fu.free = false, false, false, false, false
@@ -408,27 +397,6 @@ func (fu *Future) completeInfo(info mailbox.SendInfo) {
 		fu.res.Delivered = info.Delivered
 	}
 	fu.res.Injected = fu.injected
-	if fu.res.N >= fu.expect {
-		fu.resolve()
-	}
-}
-
-// complete folds one per-message completion into the aggregate.
-func (fu *Future) complete(r core.Result) {
-	if fu.resolved {
-		return
-	}
-	fu.res.N++
-	if fu.res.Seq == 0 {
-		fu.res.Seq = r.Seq
-	}
-	if r.Err != nil && fu.res.Err == nil {
-		fu.res.Err = r.Err
-	}
-	if r.Delivered > fu.res.Delivered {
-		fu.res.Delivered = r.Delivered
-	}
-	fu.res.Injected = r.Injected
 	if fu.res.N >= fu.expect {
 		fu.resolve()
 	}

@@ -313,12 +313,10 @@ func (s *System) SendData(src, dst int, usr []byte) *Future {
 		fu.fail(err)
 		return fu
 	}
-	if s.mesh.Node(dst).Down() {
-		fu.fail(&core.NodeDownError{Src: s.mesh.Node(src).Name, Dst: s.mesh.Node(dst).Name,
-			Node: s.mesh.Node(dst).Name})
+	if err := ch.SendData(usr, fu.infoCb); err != nil {
+		fu.fail(err)
 		return fu
 	}
-	ch.SendData(usr, fu.completeCb)
 	fu.armed = true
 	return fu
 }

@@ -104,6 +104,21 @@ func TestCallAfterTeardown(t *testing.T) {
 	if _, err := sys.Channel(2, 1); err == nil {
 		t.Fatal("new channel to torn-down node did not fail")
 	}
+	// A torn-down source issues nothing: calls and data frames on its
+	// existing channels fail fast alike.
+	if err := sys.Teardown(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fn.Call(2, [2]uint64{4, 0}).IssueErr(); err == nil || !strings.Contains(err.Error(), "source node torn down") {
+		t.Fatalf("call from torn-down source: %v", err)
+	}
+	sent := sys.Stats().Sent
+	if err := sys.SendData(0, 2, []byte("x")).IssueErr(); err == nil || !strings.Contains(err.Error(), "source node torn down") {
+		t.Fatalf("SendData from torn-down source: %v", err)
+	}
+	if got := sys.Stats().Sent; got != sent {
+		t.Fatalf("SendData from torn-down source sent a frame (%d -> %d)", sent, got)
+	}
 }
 
 func TestBurstEmptyBatchSendsNothing(t *testing.T) {

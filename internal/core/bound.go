@@ -165,13 +165,13 @@ func (b *Bound) takeAutoSwitch() bool {
 // receiver-side package and element IDs. A single call is a batch of
 // one.
 //
-// With burst set, the batch goes out as one batched operation whose
-// contiguous frame slots coalesce into single puts, and it never
-// auto-switches. Without it, every frame is its own put, and an
-// injected send counts once toward the auto-switch policy, which may
-// send it as a Local Function message instead. An empty batch sends
-// nothing. Binding is lazy and per method: an inject bind failure does
-// not poison Local Function sends through the same handle.
+// The batch goes out as one batched operation whose contiguous frame
+// slots coalesce into single puts. burst only gates the auto-switch: a
+// burst never auto-switches, while an injected non-burst send counts
+// once toward the auto-switch policy, which may send it as a Local
+// Function message instead. An empty batch sends nothing. Binding is
+// lazy and per method: an inject bind failure does not poison Local
+// Function sends through the same handle.
 func (b *Bound) Send(kind uint8, batch [][2]uint64, burst bool, usr []byte, done func(mailbox.SendInfo)) error {
 	if len(batch) == 0 {
 		return nil
@@ -205,12 +205,6 @@ func (b *Bound) Send(kind uint8, batch [][2]uint64, burst bool, usr []byte, done
 		}
 		msgs[i] = m
 	}
-	if burst {
-		snd.SendBatch(msgs, done)
-		return nil
-	}
-	for _, m := range msgs {
-		snd.Send(m, done)
-	}
+	snd.SendBatch(msgs, done)
 	return nil
 }
